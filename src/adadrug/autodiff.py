@@ -6,7 +6,8 @@ valid topological order; ``backward`` walks it once in reverse.
 
 Gradient contract: ``backward`` *adds* into ``Node.grad``, so two calls
 without ``Tape.zero_grads`` accumulate. Subgradients at the relu/abs kinks
-are 0. Elementwise hot loops are delegated to :mod:`adadrug.kernels`.
+are 0. Elementwise math comes from :mod:`adadrug.kernels`, the same numpy
+functions the array-level forward in :mod:`adadrug.model` calls.
 """
 
 import numpy as np

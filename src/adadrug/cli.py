@@ -232,6 +232,10 @@ def _score_bundle(model, cfg_train, bundle, seed):
 # ---------------------------------------------------------------------------
 
 def cmd_prep(args):
+    if (args.deg_a is None) != (args.deg_b is None):
+        missing = "--deg-b" if args.deg_b is None else "--deg-a"
+        raise ValueError(f"DEG selection needs both --deg-a and --deg-b; "
+                         f"{missing} is missing")
     fmt = args.format
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)
@@ -247,9 +251,9 @@ def cmd_prep(args):
     selection = None
     if args.gene_list:
         selection = dat.GeneSelection("file-list", dat.load_gene_list(args.gene_list))
-    elif args.hvg:
+    elif args.hvg is not None:
         selection = dat.select_hvg(target, args.hvg)
-    elif args.deg_a and args.deg_b:
+    elif args.deg_a is not None:
         ga = dat.load_expression(args.deg_a, fmt)
         gb = dat.load_expression(args.deg_b, fmt)
         selection = dat.select_deg(ga, gb, lfc_min=args.lfc_min, p_max=args.p_max)

@@ -1,54 +1,37 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Elementwise numeric kernels shared by the tape ops and the array forward.
 
-Every kernel exists twice: a fused numba ``@njit`` loop and a plain numpy
-version. The active backend is chosen once at import time from the
-``ADADRUG_BACKEND`` environment variable:
-
-    ADADRUG_BACKEND=numba   require numba (ImportError if missing)
-    ADADRUG_BACKEND=numpy   force the pure-numpy fallback
-    unset / "auto"          numba when importable, numpy otherwise
-
-Both backends are sequential and bitwise deterministic for fixed inputs.
-Results may differ between backends by ~1 ulp (different libm code paths),
-so cross-backend comparisons belong in tolerance-based tests only.
-
-``benchmarks/bench_kernels.py`` times the two backends side by side.
+``model.mlp_forward`` and the ``autodiff`` ops call the same ``sigmoid`` and
+``relu``, which keeps the two forward paths bitwise equal. Matrix products
+are not here: they go straight to BLAS through ``@``. Every kernel is plain
+numpy, sequential and bitwise deterministic for fixed inputs.
 """
-
-import os
 
 import numpy as np
 
-ENV_VAR = "ADADRUG_BACKEND"
 
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations (always available)
-# ---------------------------------------------------------------------------
-
-def sigmoid_numpy(x):
+def sigmoid(x):
     # exp(-|x|) never overflows; the two branches pick the stable form
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def sigmoid_bwd_numpy(out, g):
+def sigmoid_bwd(out, g):
     return g * out * (1.0 - out)
 
 
-def relu_numpy(x):
+def relu(x):
     return np.maximum(x, 0.0)
 
 
-def relu_bwd_numpy(x, g):
+def relu_bwd(x, g):
     return g * (x > 0.0)
 
 
-def abs_bwd_numpy(x, g):
+def abs_bwd(x, g):
     return g * np.sign(x)
 
 
-def adam_step_numpy(p, g, m, v, lr, b1, b2, eps, t):
+def adam_step(p, g, m, v, lr, b1, b2, eps, t):
     """One in-place Adam update for a single parameter array."""
     m *= b1
     m += (1.0 - b1) * g
@@ -59,129 +42,7 @@ def adam_step_numpy(p, g, m, v, lr, b1, b2, eps, t):
     p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def pairwise_sq_dists_numpy(a, b):
+def pairwise_sq_dists(a, b):
     """Squared Euclidean distances, rows of a vs rows of b -> (len(a), len(b))."""
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"{ENV_VAR} must be 'numba', 'numpy' or unset, got {_requested!r}"
-    )
-
-HAVE_NUMBA = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def sigmoid_numba(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                v = x[i, j]
-                if v >= 0.0:
-                    z = np.exp(-v)
-                    out[i, j] = 1.0 / (1.0 + z)
-                else:
-                    z = np.exp(v)
-                    out[i, j] = z / (1.0 + z)
-        return out
-
-    @njit(cache=True)
-    def sigmoid_bwd_numba(out, g):
-        gx = np.empty_like(out)
-        for i in range(out.shape[0]):
-            for j in range(out.shape[1]):
-                s = out[i, j]
-                gx[i, j] = g[i, j] * s * (1.0 - s)
-        return gx
-
-    @njit(cache=True)
-    def relu_numba(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                v = x[i, j]
-                out[i, j] = v if v > 0.0 else 0.0
-        return out
-
-    @njit(cache=True)
-    def relu_bwd_numba(x, g):
-        gx = np.empty_like(x)
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                gx[i, j] = g[i, j] if x[i, j] > 0.0 else 0.0
-        return gx
-
-    @njit(cache=True)
-    def abs_bwd_numba(x, g):
-        gx = np.empty_like(x)
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                v = x[i, j]
-                if v > 0.0:
-                    gx[i, j] = g[i, j]
-                elif v < 0.0:
-                    gx[i, j] = -g[i, j]
-                else:
-                    gx[i, j] = 0.0
-        return gx
-
-    @njit(cache=True)
-    def adam_step_numba(p, g, m, v, lr, b1, b2, eps, t):
-        c1 = 1.0 - b1 ** t
-        c2 = 1.0 - b2 ** t
-        for i in range(p.shape[0]):
-            for j in range(p.shape[1]):
-                gi = g[i, j]
-                mi = b1 * m[i, j] + (1.0 - b1) * gi
-                vi = b2 * v[i, j] + (1.0 - b2) * gi * gi
-                m[i, j] = mi
-                v[i, j] = vi
-                p[i, j] -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
-
-    @njit(cache=True)
-    def pairwise_sq_dists_numba(a, b):
-        out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                acc = 0.0
-                for k in range(a.shape[1]):
-                    d = a[i, k] - b[j, k]
-                    acc += d * d
-                out[i, j] = acc
-        return out
-
-
-if HAVE_NUMBA and _requested != "numpy":
-    BACKEND = "numba"
-    sigmoid = sigmoid_numba
-    sigmoid_bwd = sigmoid_bwd_numba
-    relu = relu_numba
-    relu_bwd = relu_bwd_numba
-    abs_bwd = abs_bwd_numba
-    adam_step = adam_step_numba
-    pairwise_sq_dists = pairwise_sq_dists_numba
-else:
-    BACKEND = "numpy"
-    sigmoid = sigmoid_numpy
-    sigmoid_bwd = sigmoid_bwd_numpy
-    relu = relu_numpy
-    relu_bwd = relu_bwd_numpy
-    abs_bwd = abs_bwd_numpy
-    adam_step = adam_step_numpy
-    pairwise_sq_dists = pairwise_sq_dists_numpy

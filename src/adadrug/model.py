@@ -7,8 +7,9 @@ response predictor. Forward passes exist twice on purpose:
 * array level (``encode``, ``predict``, ...) for inference paths, and
 * node level (``mlp_forward_nodes``) for the differentiable training graph.
 
-Both route elementwise math through :mod:`adadrug.kernels`, so the two
-paths produce bitwise-identical values for the same parameters.
+Both call the same :mod:`adadrug.kernels` functions for elementwise math
+and hand matrix products to BLAS, so the two paths produce
+bitwise-identical values for the same parameters.
 """
 
 from dataclasses import dataclass

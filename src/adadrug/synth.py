@@ -7,8 +7,6 @@ target labels live outside the DomainBundle, so training code cannot see
 them by construction.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,12 +166,11 @@ def run_variant(synth, variant, seed, train_cfg):
     return BenchmarkRow(variant, seed, report.auroc, report.aupr)
 
 
-def run_benchmark(cfg, variants, seeds, train_cfg=None, max_workers=None):
-    """Train every (variant, seed) pair and return the per-run rows.
+def run_benchmark(cfg, variants, seeds, train_cfg=None):
+    """Train every (variant, seed) pair in turn and return the per-run rows.
 
-    ``max_workers`` defaults to the ADADRUG_THREADS environment variable
-    (1 when unset). Rows come back sorted by (variant order, seed) no
-    matter how workers interleave.
+    Rows come back in (variant order, seed order). Runs are serial: the
+    tape is bound by the interpreter lock, so threads cannot overlap them.
     """
     variants = list(variants)
     if not variants:
@@ -183,16 +180,9 @@ def run_benchmark(cfg, variants, seeds, train_cfg=None, max_workers=None):
             raise ValueError(f"unknown variant {v!r} (choose from {VARIANTS})")
     if train_cfg is None:
         train_cfg = bench_train_config()
-    if max_workers is None:
-        max_workers = int(os.environ.get("ADADRUG_THREADS", "1"))
     synth = generate(cfg)
-    jobs = [(v, int(s)) for v in variants for s in seeds]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda j: run_variant(synth, *j, train_cfg), jobs))
-    else:
-        rows = [run_variant(synth, v, s, train_cfg) for v, s in jobs]
-    return rows
+    return [run_variant(synth, v, int(s), train_cfg)
+            for v in variants for s in seeds]
 
 
 def summarize(rows):

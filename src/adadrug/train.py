@@ -16,6 +16,7 @@ from . import losses as ls
 from . import model as mdl
 
 CHECKPOINT_VERSION = 1
+HEADER_KEYS = ("specs", "dims", "seed", "step", "config", "arrays")
 SAMPLERS = ("weight", "smote", "none")
 GRL_SCHEDULES = ("warmup", "constant")
 
@@ -51,6 +52,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        # beta == 1 zeroes Adam's bias correction and eps <= 0 lets a zero
+        # second moment divide by zero: both turn every parameter into NaN
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -289,6 +297,9 @@ def load_checkpoint(path):
             f"unsupported checkpoint format version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"header is missing {missing}")
     specs = {
         name: mdl.MlpSpec(tuple(s["widths"]), s["out_activation"])
         for name, s in header["specs"].items()
@@ -305,7 +316,10 @@ def load_checkpoint(path):
         arr = np.frombuffer(body, dtype="<f8", count=int(np.prod(shape)),
                             offset=offset).reshape(shape).copy()
         offset += nbytes
-        params[entry["name"].split(".")[0]].append(arr)
+        comp = entry["name"].split(".")[0]
+        if comp not in params:
+            raise CheckpointError(f"array {entry['name']!r} names no component")
+        params[comp].append(arr)
     if offset != len(body):
         raise CheckpointError("trailing bytes after parameter blocks")
     bundle = mdl.ModelBundle(

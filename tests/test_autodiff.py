@@ -130,6 +130,15 @@ def test_abs_backward_at_negative_two():
     assert x.grad[0, 0] == -1.0
 
 
+@pytest.mark.parametrize("op,expect", [(ad.relu, [0.0, 0.0, 0.0, 1.0]),
+                                       (ad.absval, [-1.0, 0.0, 0.0, 1.0])])
+def test_subgradient_at_the_kink_is_zero(op, expect):
+    t = ad.Tape()
+    x = t.leaf([[-2.0, 0.0, -0.0, 2.0]])
+    ad.backward(t, ad.sum_all(op(x)))
+    np.testing.assert_array_equal(x.grad, [expect])
+
+
 def test_detached_leaf_gets_zero_gradient():
     t = ad.Tape()
     x = t.leaf([[3.0]])

@@ -101,6 +101,15 @@ def test_negative_learning_rate_reports_json_pointer(tmp_path, capsys):
     assert "/learning_rate" in capsys.readouterr().err
 
 
+def test_adam_beta_of_one_is_config_error_and_writes_nothing(tmp_path, capsys):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    config["beta1"] = 1.0
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "beta1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     cfg_path, config, _ = write_synth_files(tmp_path)
     config["target_expression"] = str(tmp_path / "nope.csv")
@@ -310,3 +319,28 @@ def test_prep_hvg_and_pathways(tmp_path):
     ]) == 0
     m = dat.load_expression(out2 / "target.csv")
     assert m.gene_names == ["p1", "p2"]
+
+
+def _prep_args(config, out):
+    return ["prep", "--sources", config["sources"][0]["expression"],
+            config["sources"][1]["expression"],
+            "--target", config["target_expression"], "--out", str(out)]
+
+
+def test_prep_hvg_zero_is_data_error(tmp_path, capsys):
+    _, config, _ = write_synth_files(tmp_path)
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + ["--hvg", "0"]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given,missing", [("--deg-a", "--deg-b"),
+                                           ("--deg-b", "--deg-a")])
+def test_prep_lone_deg_flag_names_the_missing_one(tmp_path, capsys, given, missing):
+    _, config, _ = write_synth_files(tmp_path)
+    out = tmp_path / "prep"
+    group = config["sources"][0]["expression"]
+    assert main(_prep_args(config, out) + [given, group]) == 2
+    assert f"{missing} is missing" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,54 +1,11 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from adadrug import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
 
-
-def _rand(shape, seed=0, scale=1.0):
-    return scale * np.random.default_rng(seed).normal(size=shape)
-
-
-@needs_numba
-@pytest.mark.parametrize("scale", [1.0, 50.0])
-def test_sigmoid_backends_agree(scale):
-    x = _rand((17, 9), seed=1, scale=scale)
-    np.testing.assert_allclose(
-        kernels.sigmoid_numba(x), kernels.sigmoid_numpy(x), rtol=1e-12, atol=1e-300
-    )
-
-
-@needs_numba
-def test_elementwise_backends_agree():
-    x = _rand((11, 7), seed=2)
-    g = _rand((11, 7), seed=3)
-    np.testing.assert_array_equal(kernels.relu_numba(x), kernels.relu_numpy(x))
-    np.testing.assert_array_equal(kernels.relu_bwd_numba(x, g), kernels.relu_bwd_numpy(x, g))
-    np.testing.assert_array_equal(kernels.abs_bwd_numba(x, g), kernels.abs_bwd_numpy(x, g))
-    out = kernels.sigmoid_numpy(x)
-    np.testing.assert_allclose(
-        kernels.sigmoid_bwd_numba(out, g), kernels.sigmoid_bwd_numpy(out, g), rtol=1e-12
-    )
-
-
-@needs_numba
-def test_adam_backends_agree():
-    p1, p2 = _rand((6, 4), seed=4), None
-    p2 = p1.copy()
-    g = _rand((6, 4), seed=5)
-    m1, v1 = np.zeros_like(p1), np.zeros_like(p1)
-    m2, v2 = np.zeros_like(p1), np.zeros_like(p1)
-    for t in range(1, 4):
-        kernels.adam_step_numba(p1, g, m1, v1, 1e-3, 0.9, 0.999, 1e-8, t)
-        kernels.adam_step_numpy(p2, g, m2, v2, 1e-3, 0.9, 0.999, 1e-8, t)
-    np.testing.assert_allclose(p1, p2, rtol=1e-12)
-    np.testing.assert_allclose(m1, m2, rtol=1e-12)
-    np.testing.assert_allclose(v1, v2, rtol=1e-12)
+def _rand(shape, seed):
+    return np.random.default_rng(seed).normal(size=shape)
 
 
 def test_adam_step_matches_textbook_formula():
@@ -70,17 +27,6 @@ def test_adam_zero_gradient_zero_state_is_identity():
     assert np.abs(p - before).max() < 1e-12
 
 
-@needs_numba
-def test_pairwise_backends_agree():
-    a = _rand((9, 5), seed=9)
-    b = _rand((6, 5), seed=10)
-    np.testing.assert_allclose(
-        kernels.pairwise_sq_dists_numba(a, b),
-        kernels.pairwise_sq_dists_numpy(a, b),
-        rtol=1e-12,
-    )
-
-
 def test_pairwise_matches_bruteforce():
     a = _rand((5, 3), seed=11)
     b = _rand((4, 3), seed=12)
@@ -95,26 +41,3 @@ def test_sigmoid_is_stable_at_extremes():
     out = kernels.sigmoid(x)
     assert np.isfinite(out).all()
     assert out[0, 2] == 0.5
-
-
-@pytest.mark.parametrize("value,expect", [("numpy", "numpy"), ("numba", "numba")])
-def test_env_flag_selects_backend(value, expect):
-    if value == "numba" and not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    code = "import adadrug.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, ADADRUG_BACKEND=value)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == expect
-
-
-def test_env_flag_rejects_garbage():
-    code = "import adadrug.kernels"
-    env = dict(os.environ, ADADRUG_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
-    assert "ADADRUG_BACKEND" in out.stderr

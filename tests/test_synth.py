@@ -104,15 +104,6 @@ def test_run_benchmark_single_row_and_determinism():
     assert rows[0] == again[0]
 
 
-def test_run_benchmark_thread_fanout_matches_serial():
-    cfg, tc = _fast_cfg(), _fast_train()
-    serial = sy.run_benchmark(cfg, ["full", "baseline"], [0, 1], train_cfg=tc,
-                              max_workers=1)
-    threaded = sy.run_benchmark(cfg, ["full", "baseline"], [0, 1], train_cfg=tc,
-                                max_workers=4)
-    assert serial == threaded
-
-
 def test_run_benchmark_rejects_bad_variants():
     with pytest.raises(ValueError):
         sy.run_benchmark(_fast_cfg(), [], [0])

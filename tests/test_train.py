@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ def test_config_validation():
         tr.TrainConfig(grl_schedule="cosine")
     cfg = tr.TrainConfig()
     assert cfg.learning_rate == 1e-4 and cfg.batch_size == 64 and cfg.latent_dim == 128
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 1.5),
+    ("eps", 0.0), ("eps", -1e-8),
+])
+def test_adam_hyperparameters_out_of_range_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        tr.TrainConfig(**{field: value})
 
 
 def test_effective_flags():
@@ -209,8 +219,6 @@ def test_checkpoint_truncation_detected(tmp_path, rng):
 
 
 def test_checkpoint_header_is_json_line(tmp_path, rng):
-    import json
-
     bundle = tiny_bundle(rng)
     cfg = tiny_cfg()
     model, _ = tr.train(bundle, cfg)
@@ -221,6 +229,36 @@ def test_checkpoint_header_is_json_line(tmp_path, rng):
     assert header["step"] == 42
     assert header["dims"] == {"genes": 6, "latent": 4}
     assert set(header["specs"]) == set(mdl.COMPONENTS)
+
+
+def _rewrite_header(path, edit):
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+def _saved_checkpoint(tmp_path):
+    cfg = tiny_cfg()
+    model = mdl.init_params(tr.build_specs(6, cfg), 0)
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(model, cfg, 1, path)
+    return path
+
+
+@pytest.mark.parametrize("key", ["specs", "dims", "seed", "step", "config", "arrays"])
+def test_checkpoint_header_missing_key_is_checkpoint_error(tmp_path, key):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h.pop(key))
+    with pytest.raises(tr.CheckpointError, match=key):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_unknown_array_component_is_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h["arrays"][0].update(name="bogus.0.W"))
+    with pytest.raises(tr.CheckpointError, match="bogus.0.W"):
+        tr.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
