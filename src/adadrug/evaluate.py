@@ -90,6 +90,12 @@ def metrics_report(scores, labels):
 # target inference
 # ---------------------------------------------------------------------------
 
+# gap rows per generator call in mean_reference_weights: at d = 128 one such
+# array is about 1 MB, small enough to stay in cache and to be reused by the
+# allocator instead of being mapped (and page-faulted) afresh every block
+GAP_ROW_BUDGET = 1024
+
+
 def _reference_rows(n, ref_batch, rng):
     """ref_batch row indices; the whole domain (unsampled) when it is small."""
     if ref_batch >= n:
@@ -98,13 +104,21 @@ def _reference_rows(n, ref_batch, rng):
 
 
 def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
-                           chunk=256):
+                           chunk=None):
     """Average importance vector per target row against sampled source refs.
 
     For each target embedding, weights are generated against ``ref_batch``
     reference samples drawn per source domain (deterministic in ``seed``)
     and averaged over all of them, mirroring the mean weight the target
     side receives during training.
+
+    Target rows are scored ``chunk`` at a time: the block's
+    chunk · K · ref_batch gap rows |h_T - h_ref| are written into one
+    reused buffer and run through the generator as one batch, so memory is
+    O(block · d), not O(n · K · ref_batch · d). By default a block holds as
+    many whole target rows as fit in ``GAP_ROW_BUDGET`` gap rows (at least
+    one), which keeps every array of a block cache-sized. The result does
+    not depend on ``chunk``.
     """
     rng = np.random.default_rng(seed)
     h_refs = []
@@ -113,12 +127,19 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
         h_refs.append(mdl.encode(bundle, dom.expr.values[rows]))
     h_ref = np.vstack(h_refs)
     n, d = h_target.shape
+    m = len(h_ref)
+    if chunk is None:
+        chunk = max(1, GAP_ROW_BUDGET // m)
+    gap_buf = np.empty((min(chunk, n), m, d))
     w_mean = np.empty_like(h_target)
     for start in range(0, n, chunk):
         block = h_target[start : start + chunk]
-        gap = np.abs(block[:, None, :] - h_ref[None, :, :]).reshape(-1, d)
-        w = mdl.mlp_forward(bundle.specs["generator"], bundle.params["generator"], gap)
-        w_mean[start : start + chunk] = w.reshape(len(block), -1, d).mean(axis=1)
+        gap = gap_buf[: len(block)]
+        np.subtract(block[:, None, :], h_ref[None, :, :], out=gap)
+        np.abs(gap, out=gap)
+        w = mdl.mlp_forward(bundle.specs["generator"], bundle.params["generator"],
+                            gap.reshape(-1, d))
+        w.reshape(len(block), m, d).mean(axis=1, out=w_mean[start : start + chunk])
     return w_mean
 
 

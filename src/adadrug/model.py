@@ -9,7 +9,9 @@ response predictor. Forward passes exist twice on purpose:
 
 Both call the same :mod:`adadrug.kernels` functions for elementwise math
 and hand matrix products to BLAS, so the two paths produce
-bitwise-identical values for the same parameters.
+bitwise-identical values for the same parameters. The array path adds the
+bias and applies each activation in place on the fresh matmul result
+(kernels accept ``out=``), so a layer allocates one array, not three.
 """
 
 from dataclasses import dataclass
@@ -100,13 +102,9 @@ class ModelBundle:
 
     def named_arrays(self):
         """All parameter arrays as (name, array) in declared order."""
-        out = []
-        for comp in COMPONENTS:
-            arrs = self.params[comp]
-            for i in range(0, len(arrs), 2):
-                out.append((f"{comp}.{i // 2}.W", arrs[i]))
-                out.append((f"{comp}.{i // 2}.b", arrs[i + 1]))
-        return out
+        arrays = [a for comp in COMPONENTS for a in self.params[comp]]
+        return [(name, a) for (name, _), a in zip(param_layout(self.specs), arrays,
+                                                  strict=True)]
 
     def arrays(self):
         return [a for _, a in self.named_arrays()]
@@ -119,6 +117,19 @@ class ModelBundle:
             latent_dim=self.latent_dim,
             seed=self.seed,
         )
+
+
+def param_layout(specs):
+    """(name, shape) of every parameter array the specs imply, in declared
+    order: ``<component>.<layer>.W`` (fan_in, fan_out), then ``.b`` (1, fan_out).
+    """
+    layout = []
+    for comp in COMPONENTS:
+        widths = specs[comp].widths
+        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+            layout.append((f"{comp}.{i}.W", (fan_in, fan_out)))
+            layout.append((f"{comp}.{i}.b", (1, fan_out)))
+    return layout
 
 
 def init_params(specs, seed):
@@ -147,20 +158,24 @@ def init_params(specs, seed):
 # ---------------------------------------------------------------------------
 
 def _apply_out_activation(spec, a):
+    # ``a`` is always the layer's own fresh matmul result, so it is
+    # overwritten in place
     if spec.out_activation == "relu":
-        return kernels.relu(a)
+        return kernels.relu(a, out=a)
     if spec.out_activation == "sigmoid":
-        return kernels.sigmoid(a)
+        return kernels.sigmoid(a, out=a)
     return a
 
 
 def mlp_forward(spec, params, x):
+    """Array forward; ``x`` is only read, every layer writes its own array."""
     n_layers = len(spec.widths) - 1
     a = x
     for i in range(n_layers):
-        a = a @ params[2 * i] + params[2 * i + 1]
+        a = a @ params[2 * i]
+        a += params[2 * i + 1]
         if i < n_layers - 1:
-            a = kernels.relu(a)
+            kernels.relu(a, out=a)
     return _apply_out_activation(spec, a)
 
 

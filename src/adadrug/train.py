@@ -280,8 +280,32 @@ def save_checkpoint(bundle, cfg, step, path):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _checkpoint_specs(raw):
+    """Component specs from a header's ``specs`` object, one per component."""
+    if not isinstance(raw, dict):
+        raise CheckpointError("header 'specs' is not an object")
+    if set(raw) != set(mdl.COMPONENTS):
+        raise CheckpointError(
+            f"header 'specs' must name {list(mdl.COMPONENTS)}, not {sorted(raw)}"
+        )
+    specs = {}
+    for name in mdl.COMPONENTS:
+        try:
+            specs[name] = mdl.MlpSpec(tuple(raw[name]["widths"]),
+                                      raw[name]["out_activation"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(
+                f"spec {name!r} is malformed: {type(e).__name__}: {e}"
+            ) from None
+    return specs
+
+
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (ModelBundle, TrainConfig, step)."""
+    """Inverse of save_checkpoint; returns (ModelBundle, TrainConfig, step).
+
+    Every header field is checked before the body is read: any malformed,
+    missing or inconsistent entry raises ``CheckpointError`` naming it.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -291,6 +315,8 @@ def load_checkpoint(path):
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header is a JSON {type(header).__name__}, not an object")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -300,33 +326,45 @@ def load_checkpoint(path):
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"header is missing {missing}")
-    specs = {
-        name: mdl.MlpSpec(tuple(s["widths"]), s["out_activation"])
-        for name, s in header["specs"].items()
-    }
-    cfg = TrainConfig.from_dict(header["config"])
+    specs = _checkpoint_specs(header["specs"])
+    try:
+        cfg = TrainConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"header 'config' is malformed: {e}") from None
+    try:
+        n_genes = int(header["dims"]["genes"])
+        latent_dim = int(header["dims"]["latent"])
+        seed, step = int(header["seed"]), int(header["step"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(
+            f"header 'dims', 'seed' or 'step' is malformed: {type(e).__name__}: {e}"
+        ) from None
+    layout = mdl.param_layout(specs)
+    entries = header["arrays"]
+    if not isinstance(entries, list) or len(entries) != len(layout):
+        raise CheckpointError(
+            f"header 'arrays' must list the {len(layout)} arrays its specs imply"
+        )
+    for i, (entry, (name, shape)) in enumerate(zip(entries, layout)):
+        want = {"name": name, "shape": list(shape)}
+        if entry != want:
+            raise CheckpointError(f"array entry {i} is {entry!r}; specs imply {want!r}")
     body = blob[nl + 1 :]
     offset = 0
     params = {comp: [] for comp in mdl.COMPONENTS}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        nbytes = 8 * int(np.prod(shape))
-        if offset + nbytes > len(body):
+    for name, shape in layout:
+        count = shape[0] * shape[1]
+        if offset + 8 * count > len(body):
             raise CheckpointError("truncated parameter block")
-        arr = np.frombuffer(body, dtype="<f8", count=int(np.prod(shape)),
+        arr = np.frombuffer(body, dtype="<f8", count=count,
                             offset=offset).reshape(shape).copy()
-        offset += nbytes
-        comp = entry["name"].split(".")[0]
-        if comp not in params:
-            raise CheckpointError(f"array {entry['name']!r} names no component")
-        params[comp].append(arr)
+        offset += 8 * count
+        params[name.split(".")[0]].append(arr)
     if offset != len(body):
         raise CheckpointError("trailing bytes after parameter blocks")
-    bundle = mdl.ModelBundle(
-        specs=specs,
-        params=params,
-        n_genes=int(header["dims"]["genes"]),
-        latent_dim=int(header["dims"]["latent"]),
-        seed=int(header["seed"]),
-    )
-    return bundle, cfg, int(header["step"])
+    try:
+        bundle = mdl.ModelBundle(specs=specs, params=params, n_genes=n_genes,
+                                 latent_dim=latent_dim, seed=seed)
+    except ValueError as e:
+        raise CheckpointError(str(e)) from None
+    return bundle, cfg, step

@@ -344,3 +344,20 @@ def test_prep_lone_deg_flag_names_the_missing_one(tmp_path, capsys, given, missi
     assert main(_prep_args(config, out) + [given, group]) == 2
     assert f"{missing} is missing" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_predict_on_checkpoint_with_swapped_arrays_exits_2(tmp_path, capsys):
+    cfg_path, _, _ = write_synth_files(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--output-dir", str(run),
+                 "--epochs", "1"]) == 0
+    ckpt = run / "checkpoint.bin"
+    head, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["arrays"][0], header["arrays"][1] = header["arrays"][1], header["arrays"][0]
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "scores.csv")]) == 2
+    assert "encoder.0.b" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()

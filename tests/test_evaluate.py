@@ -198,3 +198,40 @@ def test_export_embeddings_roundtrip_and_identity(tmp_path, rng):
     assert not np.array_equal(z, h)
     with pytest.raises(ValueError):
         ev.export_embeddings(bundle, target, path, weighted=True, sources=None)
+
+
+def _paper_width_scoring_case(n_target):
+    """64-gene model at latent 128, three 128-row source domains."""
+    from adadrug import model as mdl
+
+    rng = np.random.default_rng(11)
+    bundle = mdl.init_params(mdl.default_specs(64, latent_dim=128), 5)
+    sources = [make_domain(rng, n=128, n_genes=64, tag=f"d{k}_") for k in range(3)]
+    h = mdl.encode(bundle, rng.normal(size=(n_target, 64)))
+    return bundle, h, sources
+
+
+def test_mean_reference_weights_memory_is_per_block():
+    import tracemalloc
+
+    bundle, h, sources = _paper_width_scoring_case(64)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one whole-target block would be 64 * 3 * 128 gap rows: 25 MB an array
+    assert peak < 16 * 2**20
+
+
+def test_mean_reference_weights_default_blocks_equal_one_block():
+    bundle, h, sources = _paper_width_scoring_case(37)
+    m = 3 * 128
+    assert 37 % max(1, ev.GAP_ROW_BUDGET // m) != 0
+    blocked = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0)
+    whole = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0,
+                                      chunk=37)
+    assert blocked.tobytes() == whole.tobytes()

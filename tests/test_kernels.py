@@ -41,3 +41,28 @@ def test_sigmoid_is_stable_at_extremes():
     out = kernels.sigmoid(x)
     assert np.isfinite(out).all()
     assert out[0, 2] == 0.5
+
+
+# values at every branch and edge of the stable sigmoid and of relu
+_EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0,
+                   np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("kernel", [kernels.sigmoid, kernels.relu])
+def test_in_place_kernels_are_bitwise_equal_to_out_of_place(kernel):
+    x = np.concatenate([_EDGES, _rand(201, seed=13), 40.0 * _rand(198, seed=14)])
+    x = x.reshape(-1, 17)
+    expect = kernel(x)
+    into = np.full_like(x, 7.0)
+    assert kernel(x, out=into) is into
+    assert into.tobytes() == expect.tobytes()
+    alias = x.copy()
+    assert kernel(alias, out=alias) is alias
+    assert alias.tobytes() == expect.tobytes()
+
+
+def test_sigmoid_matches_the_two_branch_formula_bitwise():
+    x = np.concatenate([_EDGES, _rand(300, seed=15)])
+    z = np.exp(-np.abs(x))
+    expect = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    assert kernels.sigmoid(x).tobytes() == expect.tobytes()

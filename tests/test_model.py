@@ -228,3 +228,30 @@ def test_copy_is_deep():
     dup = bundle.copy()
     dup.params["encoder"][0][0, 0] += 1.0
     assert bundle.params["encoder"][0][0, 0] != dup.params["encoder"][0][0, 0]
+
+
+@pytest.mark.parametrize("out_activation", mdl.OUT_ACTIVATIONS)
+@pytest.mark.parametrize("widths", [(5, 3), (5, 7, 4, 3)])
+def test_mlp_forward_reads_its_input_only(widths, out_activation):
+    spec = mdl.MlpSpec(widths, out_activation=out_activation)
+    rng = np.random.default_rng(3)
+    params = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        params += [rng.normal(size=(fan_in, fan_out)), rng.normal(size=(1, fan_out))]
+    x = rng.normal(size=(6, widths[0]))
+    x_before, params_before = x.copy(), [p.copy() for p in params]
+    got = mdl.mlp_forward(spec, params, x)
+    assert x.tobytes() == x_before.tobytes()
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(params, params_before))
+    # the out-of-place formula, layer by layer
+    a = x
+    for i in range(len(widths) - 1):
+        a = a @ params[2 * i] + params[2 * i + 1]
+        if i < len(widths) - 2:
+            a = np.maximum(a, 0.0)
+    if out_activation == "relu":
+        a = np.maximum(a, 0.0)
+    elif out_activation == "sigmoid":
+        z = np.exp(-np.abs(a))
+        a = np.where(a >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    assert got.tobytes() == a.tobytes()

@@ -261,6 +261,53 @@ def test_checkpoint_unknown_array_component_is_checkpoint_error(tmp_path):
         tr.load_checkpoint(path)
 
 
+def test_checkpoint_swapped_array_entries_are_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def swap(h):
+        h["arrays"][0], h["arrays"][1] = h["arrays"][1], h["arrays"][0]
+
+    _rewrite_header(path, swap)
+    with pytest.raises(tr.CheckpointError, match="entry 0 .*encoder.0.b"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_array_entry_off_spec_shape_is_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h["arrays"][2].update(shape=[2, 32]))
+    with pytest.raises(tr.CheckpointError, match="entry 2 .*encoder.1.W"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_header_json_list_is_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(b'[{"format_version": 1}]\n' + body)
+    with pytest.raises(tr.CheckpointError, match="list"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_spec_without_widths_is_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h["specs"]["generator"].pop("widths"))
+    with pytest.raises(tr.CheckpointError, match="generator.*widths"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_dims_without_latent_is_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h["dims"].pop("latent"))
+    with pytest.raises(tr.CheckpointError, match="dims.*latent"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_string_shape_is_checkpoint_error(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h["arrays"][0].update(shape="6x8"))
+    with pytest.raises(tr.CheckpointError, match="entry 0 .*6x8"):
+        tr.load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # adversarial mechanics
 # ---------------------------------------------------------------------------
