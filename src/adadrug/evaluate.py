@@ -120,6 +120,8 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
     one), which keeps every array of a block cache-sized. The result does
     not depend on ``chunk``.
     """
+    if ref_batch < 1:
+        raise ValueError("ref_batch must be >= 1")
     rng = np.random.default_rng(seed)
     h_refs = []
     for dom in sources:

@@ -4,6 +4,7 @@ adversarial scheduling via gradient reversal, and bit-exact checkpoints.
 
 import dataclasses
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -19,10 +20,45 @@ CHECKPOINT_VERSION = 1
 HEADER_KEYS = ("specs", "dims", "seed", "step", "config", "arrays")
 SAMPLERS = ("weight", "smote", "none")
 GRL_SCHEDULES = ("warmup", "constant")
+GEN_OUT_ACTIVATIONS = ("relu", "sigmoid")
 
 
 class CheckpointError(ValueError):
     """Unreadable, truncated, or version-incompatible checkpoint file."""
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _typed(name, kind, value):
+    """``value`` as the JSON type behind annotation ``kind``; a float field
+    takes an int too and stores it as a float. Raises ValueError otherwise."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name}: must be {_JSON_TYPES[kind]}, "
+                         f"got {type(value).__name__}")
+    if kind is float:
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past floats
+            raise ValueError(f"{name}: must be a finite number")
+        value = float(value)
+    return value
+
+
+# (fields, test, requirement): every range and choice a TrainConfig obeys
+_FIELD_RULES = (
+    (("latent_dim", "encoder_hidden", "disc_hidden", "pred_hidden", "batch_size",
+      "epochs", "ref_batch"), lambda v: v >= 1, ">= 1"),
+    (("learning_rate", "grl_lambda", "seed"), lambda v: v >= 0, ">= 0"),
+    # beta == 1 zeroes Adam's bias correction and eps <= 0 lets a zero second
+    # moment divide by zero: both turn every parameter into NaN
+    (("beta1", "beta2"), lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    (("eps",), lambda v: v > 0, "> 0"),
+    (("gen_out_activation",), lambda v: v in GEN_OUT_ACTIVATIONS,
+     f"one of {GEN_OUT_ACTIVATIONS}"),
+    (("grl_schedule",), lambda v: v in GRL_SCHEDULES, f"one of {GRL_SCHEDULES}"),
+    (("sampler",), lambda v: v in SAMPLERS, f"one of {SAMPLERS}"),
+)
 
 
 @dataclass
@@ -50,27 +86,15 @@ class TrainConfig:
     ref_batch: int = 128  # inference-time references per source domain
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        # beta == 1 zeroes Adam's bias correction and eps <= 0 lets a zero
-        # second moment divide by zero: both turn every parameter into NaN
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}")
-        if self.grl_schedule not in GRL_SCHEDULES:
-            raise ValueError(f"grl_schedule must be one of {GRL_SCHEDULES}")
-        if self.grl_lambda < 0:
-            raise ValueError("grl_lambda must be >= 0")
-        if self.gen_out_activation not in ("relu", "sigmoid"):
-            raise ValueError("gen_out_activation must be 'relu' or 'sigmoid'")
+        # the one place where a training field's type, range and allowed values
+        # are checked; config files, CLI flags, checkpoints and library callers
+        # all come through here
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
+        for names, ok, requirement in _FIELD_RULES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name}: must be {requirement}")
 
     @property
     def awg_active(self):
@@ -257,14 +281,22 @@ def train(bundle, cfg):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _spec_entry(spec):
+    return {"widths": list(spec.widths), "out_activation": spec.out_activation}
+
+
 def save_checkpoint(bundle, cfg, step, path):
-    """JSON header line + raw little-endian float64 blocks in declared order."""
+    """JSON header line + raw little-endian float64 blocks in declared order.
+
+    The header states the model shape twice, in ``specs``/``dims`` and in
+    ``config``; a bundle whose specs ``cfg`` does not imply is refused, so
+    no file is written that load_checkpoint would reject.
+    """
+    if bundle.specs != build_specs(bundle.n_genes, cfg):
+        raise ValueError("bundle specs are not the ones its training config implies")
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "specs": {
-            name: {"widths": list(spec.widths), "out_activation": spec.out_activation}
-            for name, spec in bundle.specs.items()
-        },
+        "specs": {name: _spec_entry(spec) for name, spec in bundle.specs.items()},
         "dims": {"genes": bundle.n_genes, "latent": bundle.latent_dim},
         "seed": bundle.seed,
         "step": int(step),
@@ -280,31 +312,13 @@ def save_checkpoint(bundle, cfg, step, path):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _checkpoint_specs(raw):
-    """Component specs from a header's ``specs`` object, one per component."""
-    if not isinstance(raw, dict):
-        raise CheckpointError("header 'specs' is not an object")
-    if set(raw) != set(mdl.COMPONENTS):
-        raise CheckpointError(
-            f"header 'specs' must name {list(mdl.COMPONENTS)}, not {sorted(raw)}"
-        )
-    specs = {}
-    for name in mdl.COMPONENTS:
-        try:
-            specs[name] = mdl.MlpSpec(tuple(raw[name]["widths"]),
-                                      raw[name]["out_activation"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(
-                f"spec {name!r} is malformed: {type(e).__name__}: {e}"
-            ) from None
-    return specs
-
-
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (ModelBundle, TrainConfig, step).
 
     Every header field is checked before the body is read: any malformed,
-    missing or inconsistent entry raises ``CheckpointError`` naming it.
+    missing or inconsistent entry raises ``CheckpointError`` naming it. The
+    model shape is rebuilt from ``dims.genes`` and ``config``; ``specs``,
+    ``dims`` and ``arrays`` must state exactly that shape.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -326,19 +340,31 @@ def load_checkpoint(path):
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"header is missing {missing}")
-    specs = _checkpoint_specs(header["specs"])
     try:
         cfg = TrainConfig.from_dict(header["config"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"header 'config' is malformed: {e}") from None
-    try:
-        n_genes = int(header["dims"]["genes"])
-        latent_dim = int(header["dims"]["latent"])
-        seed, step = int(header["seed"]), int(header["step"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(
-            f"header 'dims', 'seed' or 'step' is malformed: {type(e).__name__}: {e}"
-        ) from None
+    dims = header["dims"]
+    n_genes = dims.get("genes") if isinstance(dims, dict) else None
+    seed, step = header["seed"], header["step"]
+    for key, value, least in (("dims.genes", n_genes, 1), ("seed", seed, 0),
+                              ("step", step, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
+                                  f"not {value!r}")
+    specs = build_specs(n_genes, cfg)
+    want_dims = {"genes": n_genes, "latent": cfg.latent_dim}
+    if dims != want_dims:
+        raise CheckpointError(f"header 'dims' is {dims!r}; config implies {want_dims!r}")
+    raw_specs = header["specs"]
+    if not isinstance(raw_specs, dict) or set(raw_specs) != set(mdl.COMPONENTS):
+        raise CheckpointError(f"header 'specs' must name {list(mdl.COMPONENTS)}")
+    for name in mdl.COMPONENTS:
+        want = _spec_entry(specs[name])
+        if raw_specs[name] != want:
+            raise CheckpointError(
+                f"header spec {name!r} is {raw_specs[name]!r}; config implies {want!r}"
+            )
     layout = mdl.param_layout(specs)
     entries = header["arrays"]
     if not isinstance(entries, list) or len(entries) != len(layout):
@@ -362,9 +388,6 @@ def load_checkpoint(path):
         params[name.split(".")[0]].append(arr)
     if offset != len(body):
         raise CheckpointError("trailing bytes after parameter blocks")
-    try:
-        bundle = mdl.ModelBundle(specs=specs, params=params, n_genes=n_genes,
-                                 latent_dim=latent_dim, seed=seed)
-    except ValueError as e:
-        raise CheckpointError(str(e)) from None
+    bundle = mdl.ModelBundle(specs=specs, params=params, n_genes=n_genes,
+                             latent_dim=cfg.latent_dim, seed=seed)
     return bundle, cfg, step

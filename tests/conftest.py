@@ -3,12 +3,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from adadrug import data as dat
 from adadrug import model as mdl
 from adadrug import train as tr
+
+# any JSON value a config file or a checkpoint header may hold; the valid
+# choice strings are mixed in so that str fields also parse now and then
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    | st.sampled_from(tr.SAMPLERS + tr.GRL_SCHEDULES + tr.GEN_OUT_ACTIVATIONS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
 
 
 def make_bundle(seed=0, n_genes=10, latent=4, enc_hidden=6, head_hidden=3,

@@ -1,12 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adadrug import cli
 from adadrug import data as dat
 from adadrug import synth as sy
 from adadrug.cli import main
+from adadrug.train import TrainConfig
+
+from conftest import JSON_VALUES
 
 
 def write_synth_files(tmp_path, n_sources=2, n=24, n_genes=8, seed=0,
@@ -110,6 +116,30 @@ def test_adam_beta_of_one_is_config_error_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_negative_seed_flag_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path, _, _ = write_synth_files(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_zero_learning_rate_in_config_and_flag_agree(tmp_path):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--output-dir",
+                 str(tmp_path / "flag"), "--epochs", "1", "--learning-rate", "0"]) == 0
+    config["learning_rate"] = 0
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path), "--output-dir",
+                 str(tmp_path / "file"), "--epochs", "1"]) == 0
+    echo = {}
+    for run in ("flag", "file"):
+        echo[run] = json.loads((tmp_path / run / "effective_config.json").read_text())
+        echo[run].pop("output_dir")
+    assert echo["flag"] == echo["file"] and echo["file"]["learning_rate"] == 0.0
+    assert (tmp_path / "flag" / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "file" / "checkpoint.bin").read_bytes()
+
+
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     cfg_path, config, _ = write_synth_files(tmp_path)
     config["target_expression"] = str(tmp_path / "nope.csv")
@@ -128,21 +158,35 @@ def test_malformed_expression_file_is_data_error(tmp_path, capsys):
 # config handling
 # ---------------------------------------------------------------------------
 
+MINIMAL_CONFIG = {
+    "format_version": 1,
+    "sources": [{"expression": "a.csv", "labels": "b.csv"}],
+    "target_expression": "t.csv",
+    "output_dir": "out",
+}
+
+
 def test_minimal_config_fills_documented_defaults(tmp_path):
-    minimal = {
-        "format_version": 1,
-        "sources": [{"expression": "a.csv", "labels": "b.csv"}],
-        "target_expression": "t.csv",
-        "output_dir": "out",
-    }
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(minimal))
+    p.write_text(json.dumps(MINIMAL_CONFIG))
     cfg = cli.load_config(p)
     assert cfg["learning_rate"] == 1e-4
     assert cfg["batch_size"] == 64
     assert cfg["latent_dim"] == 128
     assert cfg["sampler"] == "weight"
     assert cfg["mda"] is True and cfg["ind"] is True and cfg["awg"] is True
+
+
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]),
+       value=JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_any_json_train_value_parses_or_is_config_error(key, value):
+    try:
+        cfg = cli.validate_config({**MINIMAL_CONFIG, key: value})
+    except cli.ConfigError as e:
+        assert str(e).startswith(f"/{key}: ")
+        return
+    assert cfg[key] == value
 
 
 def test_format_version_required(tmp_path):
@@ -266,6 +310,15 @@ def test_ablate_runs_exact_variant_set(tmp_path):
     assert set(summary) == {"full", "no_mda", "no_ind", "no_awg"}
 
 
+def test_ablate_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--config", str(cfg_path), "--target-labels",
+                 str(target_labels), "--seeds", "0,-1", "--out", str(out)]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_bench_happy_path(tmp_path):
     out = tmp_path / "bench"
     rc = main([
@@ -360,4 +413,30 @@ def test_predict_on_checkpoint_with_swapped_arrays_exits_2(tmp_path, capsys):
     assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "scores.csv")]) == 2
     assert "encoder.0.b" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def _edit_config(cfg):
+    cfg.update(latent_dim=64, gen_out_activation="sigmoid", encoder_hidden=999)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c.update(ref_batch=0), "ref_batch: must be >= 1"),
+    (lambda c: c.update(mda="no"), "mda: must be a boolean"),
+    (_edit_config, "config implies"),
+], ids=["ref_batch_0", "mda_no", "config_contradicts_specs"])
+def test_predict_on_checkpoint_with_bad_config_exits_2(tmp_path, capsys, edit, message):
+    cfg_path, _, _ = write_synth_files(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--output-dir", str(run),
+                 "--epochs", "1"]) == 0
+    ckpt = run / "checkpoint.bin"
+    head, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header["config"])
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "scores.csv")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "scores.csv").exists()

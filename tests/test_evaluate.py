@@ -161,6 +161,26 @@ def test_mean_reference_weights_chunking_invariant(rng):
     np.testing.assert_array_equal(w1, w2)
 
 
+@pytest.mark.parametrize("ref_batch", [0, -1])
+def test_scoring_rejects_ref_batch_below_one(tmp_path, rng, ref_batch):
+    from adadrug import model as mdl
+
+    bundle = make_bundle(seed=4)
+    target = _target(rng, bundle)
+    sources = [make_domain(rng, n=10, n_genes=bundle.n_genes)]
+    h = mdl.encode(bundle, target.values)
+    calls = [
+        lambda: ev.mean_reference_weights(bundle, h, sources, ref_batch=ref_batch),
+        lambda: ev.predict_target(bundle, target, sources, ref_batch=ref_batch),
+        lambda: ev.export_embeddings(bundle, target, tmp_path / "e.csv", weighted=True,
+                                     sources=sources, ref_batch=ref_batch),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ref_batch must be >= 1"):
+            call()
+    assert not (tmp_path / "e.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adadrug import data as dat
 from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import make_domain
+from conftest import JSON_VALUES, make_domain
 
 
 def tiny_bundle(rng, n_sources=2, n=24, n_genes=6, target_n=20):
@@ -56,6 +58,41 @@ def test_config_validation():
 def test_adam_hyperparameters_out_of_range_are_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         tr.TrainConfig(**{field: value})
+
+
+# one wrongly typed value per JSON type; a field whose annotation has no
+# entry here (a new type, unchecked) fails the parametrised test below
+WRONG_TYPES = {
+    bool: [1, 0, "true", None],
+    int: [True, 2.0, "3", None],
+    float: [False, "0.1", None, [0.1]],
+    str: [1, True, None, ["relu"]],
+}
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(tr.TrainConfig), ids=lambda f: f.name)
+def test_every_field_rejects_wrongly_typed_values_naming_it(f):
+    for value in WRONG_TYPES[f.type]:
+        with pytest.raises(ValueError, match=f"^{f.name}: must be "):
+            tr.TrainConfig(**{f.name: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("latent_dim", 0), ("encoder_hidden", 0), ("disc_hidden", -1), ("pred_hidden", 0),
+    ("ref_batch", 0), ("ref_batch", -1), ("seed", -1), ("learning_rate", -1e-9),
+    ("grl_lambda", -1.0), ("batch_size", 0), ("gen_out_activation", "tanh"),
+    pytest.param("learning_rate", 10**400, id="learning_rate-huge_int"),
+    ("grl_lambda", float("inf")), ("eps", float("nan")),
+])
+def test_out_of_range_values_are_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: must be "):
+        tr.TrainConfig(**{field: value})
+
+
+def test_float_fields_take_ints_and_store_floats():
+    cfg = tr.TrainConfig(learning_rate=0, grl_lambda=2, eps=1)
+    assert [type(v) for v in (cfg.learning_rate, cfg.grl_lambda, cfg.eps)] == [float] * 3
+    assert cfg.to_dict()["learning_rate"] == 0.0
 
 
 def test_effective_flags():
@@ -306,6 +343,64 @@ def test_checkpoint_string_shape_is_checkpoint_error(tmp_path):
     _rewrite_header(path, lambda h: h["arrays"][0].update(shape="6x8"))
     with pytest.raises(tr.CheckpointError, match="entry 0 .*6x8"):
         tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    # the checkpoint arrays are latent 4 with a relu generator
+    ({"latent_dim": 64, "gen_out_activation": "sigmoid", "encoder_hidden": 999},
+     "dims.*latent.*64"),
+    ({"encoder_hidden": 999}, "spec 'encoder' .*config implies"),
+    ({"gen_out_activation": "sigmoid"}, "spec 'generator' .*config implies"),
+    ({"pred_hidden": 5}, "spec 'predictor' .*config implies"),
+    ({"ref_batch": 0}, "config.*ref_batch: must be >= 1"),
+    ({"mda": "no"}, "config.*mda: must be a boolean"),
+    ({"seed": -1}, "config.*seed: must be >= 0"),
+], ids=["shape", "encoder_hidden", "gen_out_activation", "pred_hidden", "ref_batch_0",
+        "mda_no", "seed_negative"])
+def test_checkpoint_config_must_be_valid_and_imply_the_specs(tmp_path, edit, message):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h["config"].update(edit))
+    with pytest.raises(tr.CheckpointError, match=message):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["dims.genes", "seed", "step"])
+@pytest.mark.parametrize("value", [-1, "6", True, None, 6.0])
+def test_checkpoint_header_integers_must_be_json_integers(tmp_path, key, value):
+    path = _saved_checkpoint(tmp_path)
+
+    def edit(h):
+        if key == "dims.genes":
+            h["dims"]["genes"] = value
+        else:
+            h[key] = value
+
+    _rewrite_header(path, edit)
+    with pytest.raises(tr.CheckpointError, match=f"'{key}' must be an integer"):
+        tr.load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_specs_its_config_does_not_imply(tmp_path):
+    cfg = tiny_cfg()
+    model = mdl.init_params(tr.build_specs(6, cfg), 0)
+    path = tmp_path / "ck.bin"
+    with pytest.raises(ValueError, match="specs"):
+        tr.save_checkpoint(model, tiny_cfg(latent_dim=5), 1, path)
+    assert not path.exists()
+
+
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(tr.TrainConfig)]),
+       value=JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_config_value_loads_or_is_checkpoint_error(tmp_path_factory, key,
+                                                            value):
+    path = _saved_checkpoint(tmp_path_factory.mktemp("ck"))
+    _rewrite_header(path, lambda h: h["config"].update({key: value}))
+    try:
+        _, cfg, _ = tr.load_checkpoint(path)
+    except tr.CheckpointError:
+        return
+    assert getattr(cfg, key) == value
 
 
 # ---------------------------------------------------------------------------
