@@ -4,10 +4,18 @@ Every value in the graph is a 2-D ``numpy.float64`` array. Operations append
 ``Node`` objects to a ``Tape`` in creation order, which is by construction a
 valid topological order; ``backward`` walks it once in reverse.
 
-Gradient contract: ``backward`` *adds* into ``Node.grad``, so two calls
-without ``Tape.zero_grads`` accumulate. Subgradients at the relu/abs kinks
-are 0. Elementwise math comes from :mod:`adadrug.kernels`, the same numpy
-functions the array-level forward in :mod:`adadrug.model` calls.
+Gradient contract: only leaves (``Tape.leaf``: parameters, inputs and
+constants) hold a ``Node.grad`` buffer, zeroed when the leaf is made; every
+interior node's ``grad`` is ``None``, because ``backward`` carries interior
+gradients in its own local list and drops them once used. ``backward``
+*adds* into the leaves' ``grad``, so two calls without ``Tape.zero_grads``
+accumulate. Subgradients at the relu/abs kinks are 0.
+
+``dense`` is the fused layer node, ``act(x @ W + b)``. Its forward is
+:func:`adadrug.kernels.dense`, the same layer function the array-level
+forward in :mod:`adadrug.model` calls, and its hand-written backward gives
+the same bits as the unfused ``matmul -> add_bias -> relu/sigmoid`` chain,
+which stays as the reference the tests compare it against.
 """
 
 import numpy as np
@@ -28,13 +36,14 @@ def as_matrix(x):
 
 
 class Node:
-    """One tape entry: a value, its gradient accumulator, and provenance."""
+    """One tape entry: a value, its gradient accumulator (leaves only,
+    ``None`` on interior nodes), and provenance."""
 
     __slots__ = ("value", "grad", "op", "parents", "_backward", "_idx", "tape")
 
     def __init__(self, value, op, parents, backward, idx, tape):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = None if parents else np.zeros_like(value)
         self.op = op
         self.parents = parents
         self._backward = backward
@@ -66,15 +75,17 @@ class Tape:
 
     def zero_grads(self):
         for node in self.nodes:
-            node.grad[...] = 0.0
+            if node.grad is not None:
+                node.grad[...] = 0.0
 
 
 def backward(tape, loss):
-    """Accumulate d(loss)/d(node) into every node's ``grad``.
+    """Accumulate d(loss)/d(leaf) into every leaf's ``grad``.
 
     ``loss`` must be a 1x1 node on ``tape``. Per-call gradients are built in
-    local buffers and added to ``Node.grad`` at the end, so repeated calls
-    accumulate additively.
+    local buffers and added to the leaves' ``Node.grad``, so repeated calls
+    accumulate additively; an interior node's gradient is dropped once it
+    has been passed on to its parents.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(
@@ -88,13 +99,15 @@ def backward(tape, loss):
         g = local[node._idx]
         if g is None:
             continue
-        if node._backward is not None:
-            for parent, contrib in zip(node.parents, node._backward(g)):
-                if contrib is None:
-                    continue
-                acc = local[parent._idx]
-                local[parent._idx] = contrib if acc is None else acc + contrib
-        node.grad += g
+        if node._backward is None:
+            node.grad += g
+            continue
+        local[node._idx] = None
+        for parent, contrib in zip(node.parents, node._backward(g)):
+            if contrib is None:
+                continue
+            acc = local[parent._idx]
+            local[parent._idx] = contrib if acc is None else acc + contrib
 
 
 def _same_shape(a, b, op):
@@ -115,6 +128,34 @@ def matmul(a, b):
         return g @ b.value.T, a.value.T @ g
 
     return a.tape._record(out, "matmul", (a, b), bwd)
+
+
+def dense(x, W, b, act):
+    """Fused dense layer ``act(x @ W + b)``, act one of relu, sigmoid, none.
+
+    The backward takes the activation gradient from the output: ``out > 0``
+    exactly where the pre-activation is > 0 (also for -0.0 and NaN), so
+    ``relu_bwd(out, g)`` is bitwise ``relu_bwd(pre, g)``.
+    """
+    if x.value.shape[1] != W.value.shape[0]:
+        raise ShapeError(
+            f"dense: inner dimensions disagree, {x.value.shape} x {W.value.shape}"
+        )
+    if b.value.shape != (1, W.value.shape[1]):
+        raise ShapeError(
+            f"dense: bias shape {b.value.shape} does not broadcast over "
+            f"{(x.value.shape[0], W.value.shape[1])}"
+        )
+    out = kernels.dense(x.value, W.value, b.value, act)
+
+    def bwd(g):
+        if act == "relu":
+            g = kernels.relu_bwd(out, g)
+        elif act == "sigmoid":
+            g = kernels.sigmoid_bwd(out, g)
+        return g @ W.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)
+
+    return x.tape._record(out, "dense", (x, W, b), bwd)
 
 
 def add(a, b):

@@ -163,6 +163,8 @@ def load_expression(path, fmt="csv"):
             header = next(reader)
         except StopIteration:
             raise ParseError("line 1: empty file") from None
+        if not header:
+            raise ParseError("line 1: blank header line")
         if header[0].strip().lower() not in ("", "sample"):
             raise ParseError(
                 f"line 1: first header cell must be blank or 'sample', got {header[0]!r}"

@@ -1,9 +1,11 @@
-"""Elementwise numeric kernels shared by the tape ops and the array forward.
+"""Numeric kernels shared by the tape ops and the array forward.
 
-``model.mlp_forward`` and the ``autodiff`` ops call the same ``sigmoid`` and
-``relu``, which keeps the two forward paths bitwise equal. Matrix products
-are not here: they go straight to BLAS through ``@``. Every kernel is plain
-numpy, sequential and bitwise deterministic for fixed inputs.
+``dense`` is the one dense-layer implementation: ``model.mlp_forward`` calls
+it directly and ``autodiff.dense`` records it on the tape, so the two forward
+paths share their code instead of being kept bitwise equal by hand. Its
+matrix product goes straight to BLAS through ``@``; bias and activation are
+applied in place on that fresh product. Every kernel is plain numpy,
+sequential and bitwise deterministic for fixed inputs.
 
 ``sigmoid`` and ``relu`` take an optional ``out`` array, which may be ``x``
 itself; they then write their result there with in-place ufuncs instead of
@@ -37,6 +39,20 @@ def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
+def dense(x, W, b, act):
+    """``act(x @ W + b)`` for act in relu, sigmoid, none; ``x`` is only read,
+    and the result is the one array the layer allocates."""
+    a = x @ W
+    a += b
+    if act == "relu":
+        relu(a, out=a)
+    elif act == "sigmoid":
+        sigmoid(a, out=a)
+    elif act != "none":
+        raise ValueError(f"unknown activation {act!r}")
+    return a
+
+
 def relu_bwd(x, g):
     return g * (x > 0.0)
 
@@ -45,15 +61,31 @@ def abs_bwd(x, g):
     return g * np.sign(x)
 
 
-def adam_step(p, g, m, v, lr, b1, b2, eps, t):
-    """One in-place Adam update for a single parameter array."""
+def adam_step(p, g, m, v, lr, b1, b2, eps, t, s1, s2):
+    """One in-place Adam update for a single parameter array.
+
+    ``s1`` and ``s2`` are scratch arrays shaped like ``p``; with them the
+    update allocates nothing. It runs the ufuncs of the textbook order
+
+        m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        p -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
+
+    one by one, so it gives the same bits.
+    """
+    np.multiply(g, 1.0 - b1, out=s1)
     m *= b1
-    m += (1.0 - b1) * g
+    m += s1
+    np.multiply(g, 1.0 - b2, out=s1)
+    s1 *= g
     v *= b2
-    v += (1.0 - b2) * g * g
-    mhat = m / (1.0 - b1 ** t)
-    vhat = v / (1.0 - b2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
+    v += s1
+    np.divide(m, 1.0 - b1 ** t, out=s1)
+    s1 *= lr
+    np.divide(v, 1.0 - b2 ** t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    p -= s1
 
 
 def pairwise_sq_dists(a, b):

@@ -2,16 +2,17 @@
 
 A model bundle holds parameters for the shared encoder/decoder pair, the
 per-source-sample weight generator, the domain discriminator and the
-response predictor. Forward passes exist twice on purpose:
+response predictor. A network is one layer function,
+:func:`adadrug.kernels.dense`, driven by two loops over ``MlpSpec.activations``:
 
-* array level (``encode``, ``predict``, ...) for inference paths, and
-* node level (``mlp_forward_nodes``) for the differentiable training graph.
+* ``mlp_forward`` calls it on arrays, for inference (``encode``,
+  ``predict``, ...), and
+* ``mlp_forward_nodes`` records it as ``autodiff.dense`` nodes, for the
+  differentiable training graph.
 
-Both call the same :mod:`adadrug.kernels` functions for elementwise math
-and hand matrix products to BLAS, so the two paths produce
-bitwise-identical values for the same parameters. The array path adds the
-bias and applies each activation in place on the fresh matmul result
-(kernels accept ``out=``), so a layer allocates one array, not three.
+Both therefore give the same bits for the same parameters. The layer adds
+the bias and applies its activation in place on the fresh matmul result, so
+it allocates one array, not three.
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,11 @@ class MlpSpec:
         if self.out_activation not in OUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.out_activation!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+
+    @property
+    def activations(self):
+        """Activation of each layer: relu on hidden layers, then the output's."""
+        return ("relu",) * (len(self.widths) - 2) + (self.out_activation,)
 
     @property
     def n_in(self):
@@ -157,26 +163,12 @@ def init_params(specs, seed):
 # forward passes, array level
 # ---------------------------------------------------------------------------
 
-def _apply_out_activation(spec, a):
-    # ``a`` is always the layer's own fresh matmul result, so it is
-    # overwritten in place
-    if spec.out_activation == "relu":
-        return kernels.relu(a, out=a)
-    if spec.out_activation == "sigmoid":
-        return kernels.sigmoid(a, out=a)
-    return a
-
-
 def mlp_forward(spec, params, x):
     """Array forward; ``x`` is only read, every layer writes its own array."""
-    n_layers = len(spec.widths) - 1
     a = x
-    for i in range(n_layers):
-        a = a @ params[2 * i]
-        a += params[2 * i + 1]
-        if i < n_layers - 1:
-            kernels.relu(a, out=a)
-    return _apply_out_activation(spec, a)
+    for i, act in enumerate(spec.activations):
+        a = kernels.dense(a, params[2 * i], params[2 * i + 1], act)
+    return a
 
 
 def _check_width(x, width, what):
@@ -265,16 +257,10 @@ def lift_params(tape, bundle):
 
 
 def mlp_forward_nodes(spec, param_nodes, x):
-    n_layers = len(spec.widths) - 1
+    """Node forward: one ``autodiff.dense`` node per layer."""
     a = x
-    for i in range(n_layers):
-        a = ad.add_bias(ad.matmul(a, param_nodes[2 * i]), param_nodes[2 * i + 1])
-        if i < n_layers - 1:
-            a = ad.relu(a)
-    if spec.out_activation == "relu":
-        return ad.relu(a)
-    if spec.out_activation == "sigmoid":
-        return ad.sigmoid(a)
+    for i, act in enumerate(spec.activations):
+        a = ad.dense(a, param_nodes[2 * i], param_nodes[2 * i + 1], act)
     return a
 
 

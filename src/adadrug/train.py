@@ -4,6 +4,7 @@ adversarial scheduling via gradient reversal, and bit-exact checkpoints.
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,6 +26,14 @@ GEN_OUT_ACTIVATIONS = ("relu", "sigmoid")
 
 class CheckpointError(ValueError):
     """Unreadable, truncated, or version-incompatible checkpoint file."""
+
+
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss or parameter.
+
+    Not a ValueError: the inputs were valid, the run failed, and the CLI
+    exits 3 without writing a checkpoint, history or metrics.
+    """
 
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -141,12 +150,15 @@ class Adam:
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
         self.t = 0
 
     def step(self, grads):
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            kernels.adam_step(p, g, m, v, self.lr, self.b1, self.b2, self.eps, self.t)
+        for p, g, m, v, (s1, s2) in zip(self.params, grads, self.m, self.v,
+                                         self.scratch):
+            kernels.adam_step(p, g, m, v, self.lr, self.b1, self.b2, self.eps,
+                              self.t, s1, s2)
 
 
 def grl_coefficient(cfg, step, total_steps):
@@ -244,7 +256,9 @@ def train(bundle, cfg):
     """Train a fresh model on a DomainBundle; returns (ModelBundle, history).
 
     Upsampling (when enabled) is applied per source domain before batching
-    and never to the target. Fully deterministic given ``cfg.seed``.
+    and never to the target. Fully deterministic given ``cfg.seed``. Raises
+    ``DivergenceError`` naming the step and its loss parts when a step's
+    total loss is not finite, or when a parameter is not finite at the end.
     """
     n_genes = len(bundle.gene_names)
     ss = np.random.SeedSequence(cfg.seed)
@@ -269,10 +283,19 @@ def train(bundle, cfg):
         for batch in dat.assemble_batches(work, cfg.batch_size, batch_seed, epoch):
             lam = grl_coefficient(cfg, step, total_steps)
             grads, parts = train_step(model, batch, cfg, lam)
+            if not math.isfinite(parts.total):
+                raise DivergenceError(f"training diverged at step {step}: "
+                                      f"loss parts {parts}")
             opt.step(grads)
             history.parts.append(parts)
             step += 1
         history.epoch_seconds.append(time.perf_counter() - t0)
+    for name, a in model.named_arrays():
+        if not np.isfinite(a).all():
+            raise DivergenceError(
+                f"training diverged: parameter {name} is not finite after the "
+                f"last step ({step - 1}), whose loss parts were {history.parts[-1]}"
+            )
     history.final_step = step
     return model, history
 

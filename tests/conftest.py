@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from adadrug import autodiff as ad
 from adadrug import data as dat
 from adadrug import model as mdl
 from adadrug import train as tr
@@ -45,6 +46,17 @@ def make_bundle(seed=0, n_genes=10, latent=4, enc_hidden=6, head_hidden=3,
             if name.endswith(".b"):
                 arr[:] = rng.normal(scale=0.2, size=arr.shape)
     return bundle
+
+
+def unfused_dense(x, w, b, act):
+    """The matmul -> add_bias -> activation chain ``ad.dense`` fuses; the
+    reference its values and gradients are compared against bit for bit."""
+    a = ad.add_bias(ad.matmul(x, w), b)
+    if act == "relu":
+        return ad.relu(a)
+    if act == "sigmoid":
+        return ad.sigmoid(a)
+    return a
 
 
 def make_batch(rng, n_sources=3, batch=5, n_genes=10):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from adadrug import autodiff as ad
 
+from conftest import unfused_dense
 from oracles import central_diff, max_rel_error
 
 
@@ -74,6 +75,12 @@ def test_binary_op_shape_mismatch():
         ad.ewmul(t.leaf(np.ones((2, 2))), t.leaf(np.ones((2, 3))))
     with pytest.raises(ad.ShapeError):
         ad.add_bias(t.leaf(np.ones((2, 2))), t.leaf(np.ones((1, 3))))
+    with pytest.raises(ad.ShapeError, match=r"dense: inner.*\(2, 3\).*\(2, 3\)"):
+        ad.dense(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 3))),
+                 t.leaf(np.ones((1, 3))), "relu")
+    with pytest.raises(ad.ShapeError, match=r"dense: bias shape \(1, 2\)"):
+        ad.dense(t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 4))),
+                 t.leaf(np.ones((1, 2))), "none")
 
 
 def test_grad_reverse_forward_identity_and_backward_negation():
@@ -162,8 +169,9 @@ def test_backward_accumulates_and_zero_grads_resets():
     ad.backward(t, loss)
     np.testing.assert_array_equal(x.grad, [[12.0]])
     t.zero_grads()
-    for node in t.nodes:
-        assert (node.grad == 0.0).all()
+    # only leaves hold a gradient buffer; interior gradients live in backward
+    assert (x.grad == 0.0).all()
+    assert [node.grad for node in t.nodes if node.parents] == [None, None]
 
 
 def _composite_loss(tape, x, w, b):
@@ -299,6 +307,58 @@ def test_add_bias_gradients_match_finite_differences():
     ad.backward(t, loss)
     numeric = central_diff(lambda: float(build()[3].value[0, 0]), [x_val, b_val])
     assert max_rel_error([x.grad, b.grad], numeric) < 1e-4
+
+
+_DENSE_EDGES = np.array([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0]])
+
+
+@pytest.mark.parametrize("shared_input", [False, True])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "none"])
+def test_dense_is_bitwise_the_unfused_chain(act, shared_input):
+    rng = np.random.default_rng(5)
+    x_val = np.vstack([_DENSE_EDGES, np.zeros((1, 6)), rng.normal(size=(3, 6))])
+    w_val = rng.normal(size=(6, 6))
+    w_val[:, 1] = -np.abs(w_val[:, 1])  # the zero row's product is -0.0 there
+    b_val = _DENSE_EDGES.copy()
+    c_val = rng.normal(size=(5, 6))
+
+    def run(layer):
+        t = ad.Tape()
+        x0, w, b, c = (t.leaf(v) for v in (x_val, w_val, b_val, c_val))
+        # an interior input, so its gradient is summed over its consumers
+        x = ad.scale(x0, 1.0)
+        out = layer(x, w, b, act)
+        loss = ad.sum_all(ad.ewmul(out, c))
+        if shared_input:
+            loss = ad.add(loss, ad.sum_all(ad.ewmul(x, c)))
+        ad.backward(t, loss)
+        return [out.value, loss.value, x0.grad, w.grad, b.grad]
+
+    fused, unfused = run(ad.dense), run(unfused_dense)
+    for got, want in zip(fused, unfused, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "none"])
+def test_dense_gradients_match_finite_differences(act):
+    rng = np.random.default_rng(31)
+    x_val = rng.normal(size=(4, 3))
+    w_val = rng.normal(size=(3, 5))
+    b_val = rng.normal(size=(1, 5))
+    # the relu check needs every pre-activation away from the kink
+    assert np.abs(x_val @ w_val + b_val).min() > 0.1
+
+    def build():
+        t = ad.Tape()
+        x, w, b = t.leaf(x_val), t.leaf(w_val), t.leaf(b_val)
+        out = ad.dense(x, w, b, act)
+        return t, (x, w, b), ad.sum_all(ad.ewmul(out, out))
+
+    t, leaves, loss = build()
+    ad.backward(t, loss)
+    numeric = central_diff(lambda: float(build()[2].value[0, 0]),
+                           [x_val, w_val, b_val], h=1e-5)
+    assert max_rel_error([n.grad for n in leaves], numeric) < 1e-4
 
 
 def test_reused_node_accumulates_fanout_gradient():

@@ -154,6 +154,24 @@ def test_malformed_expression_file_is_data_error(tmp_path, capsys):
     assert "non-numeric" in capsys.readouterr().err
 
 
+def test_blank_first_line_in_expression_file_is_data_error(tmp_path, capsys):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    (tmp_path / "target.csv").write_text("\nsample,g1\nrow1,1\n")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "line 1: blank header" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_3_and_writes_no_results(tmp_path, capsys):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    config.update(learning_rate=1e12, beta1=0, beta2=0)
+    cfg_path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg_path)]) == 3
+    assert "training diverged at step" in capsys.readouterr().err
+    for name in ("checkpoint.bin", "history.csv", "metrics.json"):
+        assert not (tmp_path / "run" / name).exists()
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------

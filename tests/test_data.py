@@ -44,6 +44,7 @@ def test_load_expression_blank_first_header_cell_and_tsv(tmp_path):
         ("sample,g1,g2\na,1,nan\n", "non-finite"),
         ("id,g1,g2\na,1,2\n", "first header cell"),
         ("sample,g1,g1\na,1,2\n", "duplicate gene"),
+        ("\nsample,g1\na,1\n", "line 1: blank header"),
     ],
 )
 def test_load_expression_errors_carry_line_numbers(tmp_path, body, fragment):
@@ -94,6 +95,49 @@ def test_gene_list_and_sets(tmp_path):
     p = write(tmp_path, "bad.tsv", "apoptosis tp53,bax\n")
     with pytest.raises(dat.ParseError):
         dat.load_gene_sets(p)
+
+
+def _file(delim, header, row):
+    """A header line and up to four rows of ``delim``-joined cells, each line a
+    first cell and one or two more drawn from the given pools, so a share of
+    the examples parse, with blank lines mixed in; or arbitrary text."""
+    def line(first, rest):
+        return st.tuples(st.sampled_from(first),
+                         st.lists(st.sampled_from(rest), min_size=1, max_size=2)).map(
+            lambda cells: delim.join([cells[0], *cells[1]]))
+
+    table = st.tuples(st.sampled_from(["", "\n"]), line(*header),
+                      st.lists(line(*row) | st.just(""), max_size=4)).map(
+        lambda parts: parts[0] + "\n".join([parts[1], *parts[2]]))
+    return table | st.text(max_size=60)
+
+
+_ROW = (["s1", "s2", "s3", ""], ["0", "1", "-0.5", "1e3", "nan", "x", "", "\r", '"'])
+_EXPRESSION = ((["sample", "", "id"], ["g1", "g2", "g3", "", "g1,g2"]), _ROW)
+_GENE_SET = (["set1", "set2", ""], ["g1,g2", "g1", "", " ,"])
+FILES = {
+    "expression_csv": (lambda p: dat.load_expression(p, fmt="csv"),
+                       _file(",", *_EXPRESSION)),
+    "expression_tsv": (lambda p: dat.load_expression(p, fmt="tsv"),
+                       _file("\t", *_EXPRESSION)),
+    "labels": (dat.load_labels,
+               _file(",", (["sample_id", "sample"], ["label", "ic50", "g1"]), _ROW)),
+    "gene_list": (dat.load_gene_list, _file(" ", _ROW, _ROW)),
+    "gene_sets": (dat.load_gene_sets, _file("\t", _GENE_SET, _GENE_SET)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_is_parse_error(tmp_path_factory, kind, data):
+    load, texts = FILES[kind]
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_text(data.draw(texts, label="text"))
+    try:
+        load(path)
+    except dat.ParseError:
+        pass
 
 
 # ---------------------------------------------------------------------------

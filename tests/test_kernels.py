@@ -15,7 +15,8 @@ def test_adam_step_matches_textbook_formula():
     expect = p - 1e-2 * ((1 - 0.9) * g / (1 - 0.9)) / (
         np.sqrt((1 - 0.999) * g * g / (1 - 0.999)) + 1e-8
     )
-    kernels.adam_step(p, g, m, v, 1e-2, 0.9, 0.999, 1e-8, 1)
+    kernels.adam_step(p, g, m, v, 1e-2, 0.9, 0.999, 1e-8, 1,
+                      np.empty_like(p), np.empty_like(p))
     np.testing.assert_allclose(p, expect, rtol=1e-12)
 
 
@@ -23,8 +24,33 @@ def test_adam_zero_gradient_zero_state_is_identity():
     p = _rand((4, 4), seed=8)
     before = p.copy()
     kernels.adam_step(p, np.zeros_like(p), np.zeros_like(p), np.zeros_like(p),
-                      1e-3, 0.9, 0.999, 1e-8, 1)
+                      1e-3, 0.9, 0.999, 1e-8, 1, np.empty_like(p), np.empty_like(p))
     assert np.abs(p - before).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 1)])
+def test_adam_step_is_bitwise_the_textbook_order(shape):
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    p = _rand(shape, seed=16)
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    s1, s2 = np.full_like(p, np.nan), np.full_like(p, np.nan)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    for t in range(1, 6):
+        g = _rand(shape, seed=16 + t)
+        kernels.adam_step(p, g, m, v, lr, b1, b2, eps, t, s1, s2)
+        m_ref = b1 * m_ref + (1.0 - b1) * g
+        v_ref = b2 * v_ref + (1.0 - b2) * g * g
+        mhat = m_ref / (1.0 - b1 ** t)
+        vhat = v_ref / (1.0 - b2 ** t)
+        p_ref = p_ref - lr * mhat / (np.sqrt(vhat) + eps)
+        for got, want in ((p, p_ref), (m, m_ref), (v, v_ref)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_dense_rejects_an_unknown_activation():
+    x = _rand((2, 3), seed=17)
+    with pytest.raises(ValueError, match="tanh"):
+        kernels.dense(x, _rand((3, 2), seed=18), _rand((1, 2), seed=19), "tanh")
 
 
 def test_pairwise_matches_bruteforce():

@@ -1,17 +1,19 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adadrug import autodiff as ad
 from adadrug import data as dat
 from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import JSON_VALUES, make_domain
+from conftest import JSON_VALUES, make_domain, unfused_dense
 
 
 def tiny_bundle(rng, n_sources=2, n=24, n_genes=6, target_n=20):
@@ -198,12 +200,102 @@ def test_sampler_is_applied_per_source_domain(rng):
     assert hist.final_step == -(-40 // 10)  # upsampled domain has 40 samples
 
 
+def test_diverging_loss_raises_naming_the_step_and_loss_parts(rng):
+    bundle = tiny_bundle(rng)
+    with np.errstate(all="ignore"), pytest.raises(
+            tr.DivergenceError, match=r"at step \d+: loss parts LossParts\(reco="):
+        tr.train(bundle, tiny_cfg(learning_rate=1e200, beta1=0.0, beta2=0.0))
+    assert not issubclass(tr.DivergenceError, ValueError)
+
+
+def test_non_finite_parameter_after_the_last_step_raises(rng):
+    # one step with a finite loss whose Adam update overflows lr * g to inf
+    bundle = tiny_bundle(rng)
+    with np.errstate(all="ignore"), pytest.raises(
+            tr.DivergenceError, match=r"parameter \S+ is not finite after the last "
+                                      r"step \(0\).*LossParts\(reco="):
+        tr.train(bundle, tiny_cfg(learning_rate=1e308, beta1=0.0, beta2=0.0,
+                                  epochs=1, batch_size=64))
+
+
 def test_single_class_source_with_sampler_errors(rng):
     dom = make_domain(rng, n=10)
     single = dat.LabeledDomain(dom.expr, np.zeros(10, dtype=np.int64))
     bundle = dat.DomainBundle([single], tiny_bundle(rng, n_sources=1).target)
     with pytest.raises(ValueError, match="both classes"):
         tr.train(bundle, tiny_cfg(sampler="weight"))
+
+
+# ---------------------------------------------------------------------------
+# the fused train step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gen_out", tr.GEN_OUT_ACTIVATIONS)
+@pytest.mark.parametrize("variant", ["full", "no_mda", "baseline"])
+def test_train_step_is_bitwise_the_unfused_graph(monkeypatch, variant, gen_out):
+    sb = sy.generate(sy.SynthConfig(n_sources=3, n_per_domain=40, n_target=40,
+                                    n_genes=12, signal_dim=4, seed=1))
+    bundle, cfg = sy.variant_setup(variant, sb.bundle,
+                                   tiny_cfg(gen_out_activation=gen_out))
+    batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
+    model = mdl.init_params(tr.build_specs(12, cfg), 2)
+    fused_grads, fused_parts = tr.train_step(model, batch, cfg, 0.4)
+
+    reference_calls = []
+
+    def reference(x, w, b, act):
+        reference_calls.append(act)
+        return unfused_dense(x, w, b, act)
+
+    monkeypatch.setattr(ad, "dense", reference)
+    grads, parts = tr.train_step(model, batch, cfg, 0.4)
+    assert reference_calls
+    assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
+    assert [v.hex() for v in dataclasses.astuple(fused_parts)] == \
+        [v.hex() for v in dataclasses.astuple(parts)]
+
+
+@pytest.mark.parametrize("variant,n_nodes", [("full", 179), ("no_mda", 76),
+                                             ("baseline", 68)])
+def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
+    # one dense node per layer, and gradient buffers on leaves only
+    sb = sy.generate(sy.SynthConfig(seed=3))
+    bundle, cfg = sy.variant_setup(variant, sb.bundle, sy.bench_train_config())
+    batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
+    model = mdl.init_params(tr.build_specs(len(bundle.gene_names), cfg), 0)
+    tapes = []
+    backward = ad.backward
+
+    def recording_backward(tape, loss):
+        tapes.append(tape)
+        backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    tr.train_step(model, batch, cfg, 0.5)
+    (tape,) = tapes
+    assert len(tape.nodes) == n_nodes
+    assert not {"matmul", "add_bias", "relu", "sigmoid"} & {n.op for n in tape.nodes}
+    assert all((node.grad is None) == bool(node.parents) for node in tape.nodes)
+
+
+def test_paper_width_step_and_adam_stay_under_32_mb():
+    rng = np.random.default_rng(0)
+    cfg = tr.TrainConfig()  # latent 128, encoder hidden 256, batch 64
+    model = mdl.init_params(tr.build_specs(500, cfg), 0)
+    batch = dat.TupleBatch(
+        x_sources=[rng.normal(size=(64, 500)) for _ in range(3)],
+        y_sources=[rng.integers(0, 2, size=64) for _ in range(3)],
+        x_target=rng.normal(size=(64, 500)),
+    )
+    opt = tr.Adam(model.arrays(), cfg.learning_rate)
+    tracemalloc.start()
+    try:
+        grads, _ = tr.train_step(model, batch, cfg, 0.5)
+        opt.step(grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 # ---------------------------------------------------------------------------
