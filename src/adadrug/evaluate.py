@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as dat
 from . import model as mdl
 
 
@@ -22,6 +23,8 @@ def _check_scores_labels(scores, labels):
     y = np.asarray(labels).ravel().astype(np.int64)
     if s.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     return s, y
@@ -180,16 +183,39 @@ def write_scores_csv(path, sample_ids, scores, labels=None):
 
 
 def read_scores_csv(path):
-    """Returns (sample_ids, scores, labels-or-None)."""
+    """Returns (sample_ids, scores, labels-or-None), as write_scores_csv wrote.
+
+    A row with another cell count, an empty or repeated sample id, a
+    non-finite score or a label other than 0/1 raises ``ParseError`` naming
+    its line; blank lines are skipped.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "sample_id":
-        raise ValueError(f"{path}: not a scores CSV")
-    has_labels = len(rows[0]) == 3
-    ids = [r[0] for r in rows[1:]]
-    scores = np.array([float(r[1]) for r in rows[1:]])
-    labels = np.array([int(r[2]) for r in rows[1:]]) if has_labels else None
-    return ids, scores, labels
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in (["sample_id", "score"], ["sample_id", "score", "label"]):
+            raise dat.ParseError(f"line 1: header must be 'sample_id,score' or "
+                                 f"'sample_id,score,label', got {header!r}")
+        rows = {}
+        for rec in reader:
+            line = reader.line_num
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise dat.ParseError(f"line {line}: expected {len(header)} cells, "
+                                     f"got {len(rec)}")
+            sid = rec[0].strip()
+            if sid == "" or sid in rows:
+                raise dat.ParseError(f"line {line}: missing or duplicate sample id "
+                                     f"{sid!r}")
+            rows[sid] = [dat._parse_cell(c, line, what)
+                         for c, what in zip(rec[1:], header[1:])]
+            if rows[sid][1:] not in ([], [0.0], [1.0]):
+                raise dat.ParseError(f"line {line}: label must be 0 or 1, got {rec[2]!r}")
+    if not rows:
+        raise dat.ParseError("line 2: no score rows")
+    values = np.array(list(rows.values()))
+    labels = values[:, 1].astype(np.int64) if len(header) == 3 else None
+    return list(rows), values[:, 0], labels
 
 
 def export_embeddings(bundle, expr, path, weighted=False, sources=None,

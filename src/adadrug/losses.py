@@ -30,6 +30,17 @@ def _scalar(node):
     return float(node.value[0, 0])
 
 
+def _sum(terms, empty_message):
+    """Left fold ((t0 + t1) + t2) + ... of ``ad.add``; a generator's terms are
+    recorded one at a time, each just before the add that takes it."""
+    total = None
+    for term in terms:
+        total = term if total is None else ad.add(total, term)
+    if total is None:
+        raise ValueError(empty_message)
+    return total
+
+
 def _sq_err_mean(pred_node, target):
     """sum((pred - target)^2) / batch == batch mean of squared row norms."""
     tape = pred_node.tape
@@ -47,16 +58,10 @@ def reco_loss(decoded_sources, x_sources, decoded_target=None, x_target=None):
     """
     if len(decoded_sources) != len(x_sources):
         raise ValueError("reco_loss: need one input matrix per decoded matrix")
-    total = None
-    for dec, x in zip(decoded_sources, x_sources):
-        term = _sq_err_mean(dec, x)
-        total = term if total is None else ad.add(total, term)
+    pairs = list(zip(decoded_sources, x_sources))
     if decoded_target is not None:
-        term = _sq_err_mean(decoded_target, x_target)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ValueError("reco_loss: no domains given")
-    return total
+        pairs.append((decoded_target, x_target))
+    return _sum((_sq_err_mean(dec, x) for dec, x in pairs), "reco_loss: no domains given")
 
 
 def ind_loss(w_nodes):
@@ -73,18 +78,19 @@ def ind_loss(w_nodes):
     batch = w_nodes[0].shape[0]
     tape = w_nodes[0].tape
     ones = tape.leaf(np.ones((batch, 1)), op="const")
-    total = None
-    for a in range(k):
-        for b in range(a, k):
-            gram = ad.row_sum(ad.ewmul(w_nodes[a], w_nodes[b]))
-            if a == b:
-                dev = ad.sub(gram, ones)
-                term = ad.mean_all(ad.ewmul(dev, dev))
-            else:
-                # off-diagonal entries appear twice in the Frobenius norm
-                term = ad.scale(ad.mean_all(ad.ewmul(gram, gram)), 2.0)
-            total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 0.5)
+
+    def terms():
+        for a in range(k):
+            for b in range(a, k):
+                gram = ad.row_sum(ad.ewmul(w_nodes[a], w_nodes[b]))
+                if a == b:
+                    dev = ad.sub(gram, ones)
+                    yield ad.mean_all(ad.ewmul(dev, dev))
+                else:
+                    # off-diagonal entries appear twice in the Frobenius norm
+                    yield ad.scale(ad.mean_all(ad.ewmul(gram, gram)), 2.0)
+
+    return ad.scale(_sum(terms(), "ind_loss: no weight pairs"), 0.5)
 
 
 def _neg_log(node):
@@ -100,37 +106,31 @@ def adv_loss(d_sources, d_target=None):
     opposing objective is realized by feeding grad-reversed embeddings into
     the discriminator, not inside this function.
     """
-    if len(d_sources) == 0 and d_target is None:
-        raise ValueError("adv_loss: no probability columns given")
-    n_items = 0
-    total = None
-    for p in d_sources:
-        n_items += p.value.size
-        term = _neg_log(p)
-        total = term if total is None else ad.add(total, term)
+    n_items = sum(p.value.size for p in d_sources)
     if d_target is not None:
         n_items += d_target.value.size
-        tape = d_target.tape
-        ones = tape.leaf(np.ones(d_target.shape), op="const")
-        term = _neg_log(ad.sub(ones, d_target))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / n_items)
+
+    def terms():
+        for p in d_sources:
+            yield _neg_log(p)
+        if d_target is not None:
+            ones = d_target.tape.leaf(np.ones(d_target.shape), op="const")
+            yield _neg_log(ad.sub(ones, d_target))
+
+    # _sum raises on no columns before 1 / n_items is taken
+    return ad.scale(_sum(terms(), "adv_loss: no probability columns given"),
+                    1.0 / n_items)
 
 
 def cls_loss(p_sources, y_sources):
     """Squared-error classification loss, summed over source domains."""
     if len(p_sources) != len(y_sources):
         raise ValueError("cls_loss: need one label column per probability column")
-    total = None
-    for p, y in zip(p_sources, y_sources):
-        y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("cls_loss: labels must be binary")
-        term = _sq_err_mean(p, y)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ValueError("cls_loss: no domains given")
-    return total
+    ys = [np.asarray(y, dtype=np.float64).reshape(-1, 1) for y in y_sources]
+    if not all(np.isin(y, (0.0, 1.0)).all() for y in ys):
+        raise ValueError("cls_loss: labels must be binary")
+    return _sum((_sq_err_mean(p, y) for p, y in zip(p_sources, ys)),
+                "cls_loss: no domains given")
 
 
 def total_loss(reco=None, ind=None, adv=None, cls=None):
@@ -139,14 +139,8 @@ def total_loss(reco=None, ind=None, adv=None, cls=None):
     Ablations pass None for removed terms, which leaves the sum bitwise
     equal to the sum of the remaining parts.
     """
-    total = None
-    for node in (reco, ind, adv, cls):
-        if node is None:
-            continue
-        total = node if total is None else ad.add(total, node)
-    if total is None:
-        raise ValueError("total_loss: all terms are disabled")
-    return total
+    return _sum((node for node in (reco, ind, adv, cls) if node is not None),
+                "total_loss: all terms are disabled")
 
 
 def make_parts(reco=None, ind=None, adv=None, cls=None, total=None):

@@ -15,7 +15,7 @@ the bias and applies its activation in place on the fresh matmul result, so
 it allocates one array, not three.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,31 +80,43 @@ def default_specs(n_genes, latent_dim=128, encoder_hidden=256, disc_hidden=64,
 
 @dataclass
 class ModelBundle:
-    """Parameter arrays for all five components, plus the shared dims.
+    """Every parameter of the five components, in one float64 vector.
 
-    ``params[name]`` is ``[W0, b0, W1, b1, ...]`` with weights shaped
-    (fan_in, fan_out) and biases (1, fan_out). The bundle is treated as
-    immutable during forward passes; only the optimizer mutates it.
+    ``flat`` is in ``param_layout(specs)`` order; ``params[name]`` is ``[W0,
+    b0, W1, b1, ...]``, views into ``flat`` shaped (fan_in, fan_out) and (1,
+    fan_out). Only the optimizer mutates them, in place.
     """
 
     specs: dict
-    params: dict
-    n_genes: int
-    latent_dim: int
+    flat: np.ndarray
     seed: int = 0
+    params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.latent_dim
-        enc, dec = self.specs["encoder"], self.specs["decoder"]
-        gen = self.specs["generator"]
-        if enc.n_in != self.n_genes or dec.n_out != self.n_genes:
-            raise ValueError("encoder input / decoder output must equal the gene count")
-        widths_at_latent = (
-            enc.n_out, dec.n_in, gen.n_in, gen.n_out,
-            self.specs["discriminator"].n_in, self.specs["predictor"].n_in,
-        )
-        if any(w != d for w in widths_at_latent):
-            raise ValueError(f"component widths at the latent interface must all be {d}")
+        dec, gen = self.specs["decoder"], self.specs["generator"]
+        at_latent = {dec.n_in, gen.n_in, gen.n_out, self.specs["discriminator"].n_in,
+                     self.specs["predictor"].n_in}
+        if dec.n_out != self.n_genes or at_latent != {self.latent_dim}:
+            raise ValueError("decoder output must equal the encoder input, and every "
+                             "width at the latent interface the encoder output")
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if self.flat.shape != (param_count(self.specs),):
+            raise ValueError(f"flat must hold the specs' {param_count(self.specs)} "
+                             f"parameters, got shape {self.flat.shape}")
+        self.params = {comp: [] for comp in COMPONENTS}
+        offset = 0
+        for name, (rows, cols) in param_layout(self.specs):
+            view = self.flat[offset : offset + rows * cols].reshape(rows, cols)
+            self.params[name.split(".")[0]].append(view)
+            offset += rows * cols
+
+    @property
+    def n_genes(self):
+        return self.specs["encoder"].n_in
+
+    @property
+    def latent_dim(self):
+        return self.specs["encoder"].n_out
 
     def named_arrays(self):
         """All parameter arrays as (name, array) in declared order."""
@@ -116,13 +128,7 @@ class ModelBundle:
         return [a for _, a in self.named_arrays()]
 
     def copy(self):
-        return ModelBundle(
-            specs=dict(self.specs),
-            params={c: [a.copy() for a in self.params[c]] for c in COMPONENTS},
-            n_genes=self.n_genes,
-            latent_dim=self.latent_dim,
-            seed=self.seed,
-        )
+        return ModelBundle(specs=dict(self.specs), flat=self.flat.copy(), seed=self.seed)
 
 
 def param_layout(specs):
@@ -138,25 +144,21 @@ def param_layout(specs):
     return layout
 
 
+def param_count(specs):
+    """Number of float64 parameters the specs imply."""
+    return sum(rows * cols for _, (rows, cols) in param_layout(specs))
+
+
 def init_params(specs, seed):
     """Deterministic He-scaled uniform init: W ~ U(+-sqrt(6/fan_in)), b = 0."""
     rng = np.random.default_rng(seed)
-    params = {}
+    bundle = ModelBundle(specs=dict(specs), flat=np.zeros(param_count(specs)),
+                         seed=int(seed))
     for comp in COMPONENTS:
-        spec = specs[comp]
-        arrs = []
-        for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-            lim = np.sqrt(6.0 / fan_in)
-            arrs.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-            arrs.append(np.zeros((1, fan_out)))
-        params[comp] = arrs
-    return ModelBundle(
-        specs=dict(specs),
-        params=params,
-        n_genes=specs["encoder"].n_in,
-        latent_dim=specs["encoder"].n_out,
-        seed=int(seed),
-    )
+        for w in bundle.params[comp][0::2]:
+            lim = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-lim, lim, size=w.shape)
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ adversarial scheduling via gradient reversal, and bit-exact checkpoints.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -17,8 +18,8 @@ from . import kernels
 from . import losses as ls
 from . import model as mdl
 
-CHECKPOINT_VERSION = 1
-HEADER_KEYS = ("specs", "dims", "seed", "step", "config", "arrays")
+CHECKPOINT_VERSION = 2
+HEADER_KEYS = ("format_version", "genes", "seed", "step", "config", "sha256")
 SAMPLERS = ("weight", "smote", "none")
 GRL_SCHEDULES = ("warmup", "constant")
 GEN_OUT_ACTIVATIONS = ("relu", "sigmoid")
@@ -304,44 +305,46 @@ def train(bundle, cfg):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _spec_entry(spec):
-    return {"widths": list(spec.widths), "out_activation": spec.out_activation}
+def _digest(header, body):
+    """sha256 of the canonical header without its ``sha256`` entry, a newline,
+    then the body: the bytes a file without the checksum would hold."""
+    canonical = {k: v for k, v in header.items() if k != "sha256"}
+    h = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode("utf-8") + b"\n")
+    h.update(body)
+    return h.hexdigest()
 
 
 def save_checkpoint(bundle, cfg, step, path):
-    """JSON header line + raw little-endian float64 blocks in declared order.
+    """JSON header line, then ``bundle.flat`` as raw little-endian float64.
 
-    The header states the model shape twice, in ``specs``/``dims`` and in
-    ``config``; a bundle whose specs ``cfg`` does not imply is refused, so
-    no file is written that load_checkpoint would reject.
+    The header states the model shape once, as ``genes`` and ``config``; a
+    bundle whose specs ``cfg`` does not imply is refused, so no file is
+    written that load_checkpoint would reject.
     """
     if bundle.specs != build_specs(bundle.n_genes, cfg):
         raise ValueError("bundle specs are not the ones its training config implies")
+    body = np.ascontiguousarray(bundle.flat, dtype="<f8").tobytes()
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "specs": {name: _spec_entry(spec) for name, spec in bundle.specs.items()},
-        "dims": {"genes": bundle.n_genes, "latent": bundle.latent_dim},
+        "genes": bundle.n_genes,
         "seed": bundle.seed,
         "step": int(step),
         "config": cfg.to_dict(),
-        "arrays": [
-            {"name": name, "shape": list(a.shape)} for name, a in bundle.named_arrays()
-        ],
     }
+    header["sha256"] = _digest(header, body)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for _, a in bundle.named_arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(body)
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (ModelBundle, TrainConfig, step).
 
-    Every header field is checked before the body is read: any malformed,
-    missing or inconsistent entry raises ``CheckpointError`` naming it. The
-    model shape is rebuilt from ``dims.genes`` and ``config``; ``specs``,
-    ``dims`` and ``arrays`` must state exactly that shape.
+    Every header field is checked first, so a malformed, missing or unknown
+    one raises ``CheckpointError`` naming it. The model shape is rebuilt from
+    ``genes`` and ``config``, the body must hold exactly its parameters, and
+    then the ``sha256`` must match, so an edited or corrupted value anywhere
+    in the file is refused too.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -356,61 +359,34 @@ def load_checkpoint(path):
         raise CheckpointError(f"header is a JSON {type(header).__name__}, not an object")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format version {version!r} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
+        raise CheckpointError(f"unsupported checkpoint format version {version!r} "
+                              f"(expected {CHECKPOINT_VERSION})")
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"header is missing {missing}")
+    unknown = sorted(set(header) - set(HEADER_KEYS))
+    if unknown:
+        raise CheckpointError(f"header has unknown keys {unknown}")
     try:
         cfg = TrainConfig.from_dict(header["config"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"header 'config' is malformed: {e}") from None
-    dims = header["dims"]
-    n_genes = dims.get("genes") if isinstance(dims, dict) else None
-    seed, step = header["seed"], header["step"]
-    for key, value, least in (("dims.genes", n_genes, 1), ("seed", seed, 0),
+    n_genes, seed, step = header["genes"], header["seed"], header["step"]
+    for key, value, least in (("genes", n_genes, 1), ("seed", seed, 0),
                               ("step", step, 0)):
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
                                   f"not {value!r}")
     specs = build_specs(n_genes, cfg)
-    want_dims = {"genes": n_genes, "latent": cfg.latent_dim}
-    if dims != want_dims:
-        raise CheckpointError(f"header 'dims' is {dims!r}; config implies {want_dims!r}")
-    raw_specs = header["specs"]
-    if not isinstance(raw_specs, dict) or set(raw_specs) != set(mdl.COMPONENTS):
-        raise CheckpointError(f"header 'specs' must name {list(mdl.COMPONENTS)}")
-    for name in mdl.COMPONENTS:
-        want = _spec_entry(specs[name])
-        if raw_specs[name] != want:
-            raise CheckpointError(
-                f"header spec {name!r} is {raw_specs[name]!r}; config implies {want!r}"
-            )
-    layout = mdl.param_layout(specs)
-    entries = header["arrays"]
-    if not isinstance(entries, list) or len(entries) != len(layout):
-        raise CheckpointError(
-            f"header 'arrays' must list the {len(layout)} arrays its specs imply"
-        )
-    for i, (entry, (name, shape)) in enumerate(zip(entries, layout)):
-        want = {"name": name, "shape": list(shape)}
-        if entry != want:
-            raise CheckpointError(f"array entry {i} is {entry!r}; specs imply {want!r}")
     body = blob[nl + 1 :]
-    offset = 0
-    params = {comp: [] for comp in mdl.COMPONENTS}
-    for name, shape in layout:
-        count = shape[0] * shape[1]
-        if offset + 8 * count > len(body):
-            raise CheckpointError("truncated parameter block")
-        arr = np.frombuffer(body, dtype="<f8", count=count,
-                            offset=offset).reshape(shape).copy()
-        offset += 8 * count
-        params[name.split(".")[0]].append(arr)
-    if offset != len(body):
-        raise CheckpointError("trailing bytes after parameter blocks")
-    bundle = mdl.ModelBundle(specs=specs, params=params, n_genes=n_genes,
-                             latent_dim=cfg.latent_dim, seed=seed)
-    return bundle, cfg, step
+    need = 8 * mdl.param_count(specs)
+    if len(body) != need:
+        problem = "truncated parameter block" if len(body) < need else \
+            "trailing bytes after parameter blocks"
+        raise CheckpointError(f"{problem}: the body holds {len(body)} bytes; the "
+                              f"header's config implies {need} for {n_genes} genes")
+    if _digest(header, body) != header["sha256"]:
+        raise CheckpointError("sha256 mismatch: the header or the parameters were "
+                              "edited or corrupted")
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    return mdl.ModelBundle(specs=specs, flat=flat, seed=seed), cfg, step

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -57,6 +58,38 @@ def unfused_dense(x, w, b, act):
     if act == "sigmoid":
         return ad.sigmoid(a)
     return a
+
+
+def write_v1_checkpoint(path, model, cfg, step):
+    """``model`` in checkpoint format 1: the shape stated in ``specs``,
+    ``dims`` and ``arrays`` beside ``config``, and no checksum."""
+    header = {
+        "format_version": 1,
+        "specs": {name: {"widths": list(spec.widths),
+                         "out_activation": spec.out_activation}
+                  for name, spec in model.specs.items()},
+        "dims": {"genes": model.n_genes, "latent": model.latent_dim},
+        "seed": model.seed,
+        "step": step,
+        "config": cfg.to_dict(),
+        "arrays": [{"name": name, "shape": list(a.shape)}
+                   for name, a in model.named_arrays()],
+    }
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + model.flat.astype("<f8").tobytes())
+
+
+def swap_body_blocks(path, model, first, second):
+    """Swap the bytes of two same-shaped parameter arrays in the body."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    spans, offset = {}, 0
+    for name, a in model.named_arrays():
+        spans[name] = (offset, offset + a.nbytes)
+        offset += a.nbytes
+    (a0, a1), (b0, b1) = spans[first], spans[second]
+    assert a1 - a0 == b1 - b0 and a1 <= b0
+    body = body[:a0] + body[b0:b1] + body[a1:b0] + body[a0:a1] + body[b1:]
+    path.write_bytes(head + b"\n" + body)
 
 
 def make_batch(rng, n_sources=3, batch=5, n_genes=10):

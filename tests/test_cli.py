@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from adadrug import cli
 from adadrug import data as dat
 from adadrug import synth as sy
+from adadrug import train as tr
 from adadrug.cli import main
 from adadrug.train import TrainConfig
 
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, swap_body_blocks, write_v1_checkpoint
 
 
 def write_synth_files(tmp_path, n_sources=2, n=24, n_genes=8, seed=0,
@@ -364,6 +365,20 @@ def test_evaluate_uses_inline_labels(tmp_path, rng):
     assert json.loads(out.read_text())["auroc"] == 1.0
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("a,0.9,1\nb,0.1\n", "line 3: expected 3 cells"),
+    ("a,0.9,1\nb,nan,0\n", "line 3: non-finite score"),
+    ("a,0.9,1\nb,0.1,0\na,0.5,0\n", "line 4: missing or duplicate sample id"),
+], ids=["short_row", "nan_score", "duplicate_id"])
+def test_evaluate_on_a_bad_scores_csv_exits_2(tmp_path, capsys, rows, message):
+    scores_path = tmp_path / "s.csv"
+    scores_path.write_text("sample_id,score,label\n" + rows)
+    out = tmp_path / "m.json"
+    assert main(["evaluate", "--scores", str(scores_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prep_hvg_and_pathways(tmp_path):
     cfg_path, config, _ = write_synth_files(tmp_path, n_genes=10)
     out = tmp_path / "prep_hvg"
@@ -423,14 +438,42 @@ def test_predict_on_checkpoint_with_swapped_arrays_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path), "--output-dir", str(run),
                  "--epochs", "1"]) == 0
     ckpt = run / "checkpoint.bin"
-    head, body = ckpt.read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    header["arrays"][0], header["arrays"][1] = header["arrays"][1], header["arrays"][0]
-    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    model, _, _ = tr.load_checkpoint(ckpt)
+    # the generator's two d x d weights: the body keeps its size
+    swap_body_blocks(ckpt, model, "generator.0.W", "generator.1.W")
     capsys.readouterr()
     assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "scores.csv")]) == 2
-    assert "encoder.0.b" in capsys.readouterr().err
+    assert "sha256 mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def _as_format_1(ckpt):
+    model, cfg, step = tr.load_checkpoint(ckpt)
+    write_v1_checkpoint(ckpt, model, cfg, step)
+
+
+def _with_leftover_specs(ckpt):
+    head, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["specs"] = {}
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_as_format_1, "format version 1"),
+    (_with_leftover_specs, "unknown keys ['specs']"),
+], ids=["format_1", "leftover_specs"])
+def test_predict_on_a_format_1_checkpoint_exits_2(tmp_path, capsys, edit, message):
+    cfg_path, _, _ = write_synth_files(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--output-dir", str(run),
+                 "--epochs", "1"]) == 0
+    edit(run / "checkpoint.bin")
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint",
+                 str(run / "checkpoint.bin"), "--out", str(tmp_path / "scores.csv")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "scores.csv").exists()
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from adadrug import data as dat
+from adadrug import evaluate as ev
 
 from conftest import make_domain
 from oracles import point_to_segment_distance
@@ -124,6 +125,8 @@ FILES = {
                _file(",", (["sample_id", "sample"], ["label", "ic50", "g1"]), _ROW)),
     "gene_list": (dat.load_gene_list, _file(" ", _ROW, _ROW)),
     "gene_sets": (dat.load_gene_sets, _file("\t", _GENE_SET, _GENE_SET)),
+    "scores": (ev.read_scores_csv,
+               _file(",", (["sample_id", "id"], ["score", "score,label", "label"]), _ROW)),
 }
 
 

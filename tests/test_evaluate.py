@@ -197,6 +197,33 @@ def test_scores_csv_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(rlabels, labels)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("sample_id,score\na,0.5\nb\n", "line 3: expected 2 cells, got 1"),
+    ("sample_id,score,label\na,0.5,1\nb,0.4\n", "line 3: expected 3 cells, got 2"),
+    ("sample_id,score\na,0.5\nb,nan\n", "line 3: non-finite score 'nan'"),
+    ("sample_id,score\na,0.5\nb,-inf\n", "line 3: non-finite score '-inf'"),
+    ("sample_id,score\na,0.5\nb,0.4\na,0.3\n", "line 4: missing or duplicate"),
+    ("sample_id,score\na,high\n", "line 2: non-numeric score 'high'"),
+    ("sample_id,score,label\na,0.5,2\n", "line 2: label must be 0 or 1"),
+    ("sample_id,prob\na,0.5\n", "line 1: header must be"),
+    ("sample_id,score\n\n", "line 2: no score rows"),
+    ("", "line 1: header must be"),
+], ids=["short_row", "short_labelled_row", "nan", "minus_inf", "duplicate_id",
+        "non_numeric", "label_2", "header", "no_rows", "empty"])
+def test_read_scores_csv_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(dat.ParseError, match=message):
+        ev.read_scores_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", [ev.auroc, ev.aupr, ev.metrics_report])
+def test_metrics_refuse_non_finite_scores(metric, bad):
+    with pytest.raises(ValueError, match="finite"):
+        metric([0.9, bad, 0.2, 0.1], [1, 1, 0, 0])
+
+
 def test_export_embeddings_roundtrip_and_identity(tmp_path, rng):
     bundle = make_bundle(seed=5, random_biases=True)
     target = _target(rng, bundle, n=6)

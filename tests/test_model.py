@@ -64,6 +64,34 @@ def test_bundle_rejects_inconsistent_widths():
         mdl.init_params(specs, 0)
 
 
+def test_params_are_views_into_one_flat_vector():
+    bundle = make_bundle(seed=2)
+    assert bundle.flat.shape == (mdl.param_count(bundle.specs),)
+    assert bundle.flat.tobytes() == b"".join(a.tobytes() for a in bundle.arrays())
+    bundle.params["decoder"][1][0, 2] = 7.0  # a write through a view reaches flat
+    assert bundle.flat.tobytes() == b"".join(a.tobytes() for a in bundle.arrays())
+    assert (bundle.n_genes, bundle.latent_dim) == (10, 4)
+
+
+def test_init_params_draws_each_weight_in_declared_order():
+    bundle = make_bundle(seed=11)
+    rng = np.random.default_rng(11)
+    for name, arr in bundle.named_arrays():
+        if name.endswith(".W"):
+            lim = np.sqrt(6.0 / arr.shape[0])
+            want = rng.uniform(-lim, lim, size=arr.shape)
+        else:
+            want = np.zeros(arr.shape)
+        assert arr.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_bundle_rejects_a_flat_vector_of_another_length(extra):
+    specs = make_bundle().specs
+    with pytest.raises(ValueError, match="flat must hold"):
+        mdl.ModelBundle(specs=specs, flat=np.zeros(mdl.param_count(specs) + extra))
+
+
 def test_encode_hand_case_and_shapes():
     bundle = one_layer_bundle()
     bundle.params["encoder"][0][:] = [[1.0], [1.0]]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -13,7 +14,8 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import JSON_VALUES, make_domain, unfused_dense
+from conftest import (JSON_VALUES, make_domain, swap_body_blocks, unfused_dense,
+                      write_v1_checkpoint)
 
 
 def tiny_bundle(rng, n_sources=2, n=24, n_genes=6, target_n=20):
@@ -326,7 +328,7 @@ def test_checkpoint_version_mismatch(tmp_path, rng):
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(model, cfg, 1, path)
     blob = path.read_bytes()
-    corrupted = blob.replace(b'"format_version": 1', b'"format_version": 9', 1)
+    corrupted = blob.replace(b'"format_version": 2', b'"format_version": 9', 1)
     path.write_bytes(corrupted)
     with pytest.raises(tr.CheckpointError, match="version"):
         tr.load_checkpoint(path)
@@ -353,11 +355,17 @@ def test_checkpoint_header_is_json_line(tmp_path, rng):
     model, _ = tr.train(bundle, cfg)
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(model, cfg, 42, path)
-    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-    assert header["format_version"] == 1
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    assert set(header) == set(tr.HEADER_KEYS)
+    assert header["format_version"] == 2
     assert header["step"] == 42
-    assert header["dims"] == {"genes": 6, "latent": 4}
-    assert set(header["specs"]) == set(mdl.COMPONENTS)
+    assert header["genes"] == 6
+    assert body == model.flat.astype("<f8").tobytes()
+    # the checksum covers the header without it, a newline, then the body
+    del header["sha256"]
+    canonical = json.dumps(header, sort_keys=True).encode() + b"\n"
+    assert json.loads(head)["sha256"] == hashlib.sha256(canonical + body).hexdigest()
 
 
 def _rewrite_header(path, edit):
@@ -375,7 +383,7 @@ def _saved_checkpoint(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("key", ["specs", "dims", "seed", "step", "config", "arrays"])
+@pytest.mark.parametrize("key", ["genes", "seed", "step", "config", "sha256"])
 def test_checkpoint_header_missing_key_is_checkpoint_error(tmp_path, key):
     path = _saved_checkpoint(tmp_path)
     _rewrite_header(path, lambda h: h.pop(key))
@@ -383,72 +391,66 @@ def test_checkpoint_header_missing_key_is_checkpoint_error(tmp_path, key):
         tr.load_checkpoint(path)
 
 
-def test_checkpoint_unknown_array_component_is_checkpoint_error(tmp_path):
+@pytest.mark.parametrize("key", ["specs", "dims", "arrays"])
+def test_checkpoint_leftover_format_1_key_is_checkpoint_error(tmp_path, key):
     path = _saved_checkpoint(tmp_path)
-    _rewrite_header(path, lambda h: h["arrays"][0].update(name="bogus.0.W"))
-    with pytest.raises(tr.CheckpointError, match="bogus.0.W"):
+    _rewrite_header(path, lambda h: h.update({key: {}}))
+    with pytest.raises(tr.CheckpointError, match=f"unknown keys \\['{key}'\\]"):
+        tr.load_checkpoint(path)
+
+
+def test_format_1_checkpoint_is_checkpoint_error_naming_the_version(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "v1.bin"
+    write_v1_checkpoint(path, mdl.init_params(tr.build_specs(6, cfg), 0), cfg, 1)
+    with pytest.raises(tr.CheckpointError, match="format version 1 .*expected 2"):
         tr.load_checkpoint(path)
 
 
 def test_checkpoint_swapped_array_entries_are_checkpoint_error(tmp_path):
-    path = _saved_checkpoint(tmp_path)
-
-    def swap(h):
-        h["arrays"][0], h["arrays"][1] = h["arrays"][1], h["arrays"][0]
-
-    _rewrite_header(path, swap)
-    with pytest.raises(tr.CheckpointError, match="entry 0 .*encoder.0.b"):
+    cfg = tiny_cfg()
+    model = mdl.init_params(tr.build_specs(6, cfg), 0)
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(model, cfg, 1, path)
+    # the generator's two d x d weights: the body keeps its size and shape
+    swap_body_blocks(path, model, "generator.0.W", "generator.1.W")
+    with pytest.raises(tr.CheckpointError, match="sha256 mismatch"):
         tr.load_checkpoint(path)
 
 
-def test_checkpoint_array_entry_off_spec_shape_is_checkpoint_error(tmp_path):
+def test_checkpoint_flipped_body_bit_is_checkpoint_error(tmp_path):
     path = _saved_checkpoint(tmp_path)
-    _rewrite_header(path, lambda h: h["arrays"][2].update(shape=[2, 32]))
-    with pytest.raises(tr.CheckpointError, match="entry 2 .*encoder.1.W"):
+    blob = bytearray(path.read_bytes())
+    blob[-3] ^= 0x10  # one bit of the last parameter's mantissa
+    path.write_bytes(bytes(blob))
+    with pytest.raises(tr.CheckpointError, match="sha256 mismatch"):
         tr.load_checkpoint(path)
 
 
 def test_checkpoint_header_json_list_is_checkpoint_error(tmp_path):
     path = _saved_checkpoint(tmp_path)
     body = path.read_bytes().split(b"\n", 1)[1]
-    path.write_bytes(b'[{"format_version": 1}]\n' + body)
+    path.write_bytes(b'[{"format_version": 2}]\n' + body)
     with pytest.raises(tr.CheckpointError, match="list"):
         tr.load_checkpoint(path)
 
 
-def test_checkpoint_spec_without_widths_is_checkpoint_error(tmp_path):
-    path = _saved_checkpoint(tmp_path)
-    _rewrite_header(path, lambda h: h["specs"]["generator"].pop("widths"))
-    with pytest.raises(tr.CheckpointError, match="generator.*widths"):
-        tr.load_checkpoint(path)
-
-
-def test_checkpoint_dims_without_latent_is_checkpoint_error(tmp_path):
-    path = _saved_checkpoint(tmp_path)
-    _rewrite_header(path, lambda h: h["dims"].pop("latent"))
-    with pytest.raises(tr.CheckpointError, match="dims.*latent"):
-        tr.load_checkpoint(path)
-
-
-def test_checkpoint_string_shape_is_checkpoint_error(tmp_path):
-    path = _saved_checkpoint(tmp_path)
-    _rewrite_header(path, lambda h: h["arrays"][0].update(shape="6x8"))
-    with pytest.raises(tr.CheckpointError, match="entry 0 .*6x8"):
-        tr.load_checkpoint(path)
-
-
 @pytest.mark.parametrize("edit,message", [
-    # the checkpoint arrays are latent 4 with a relu generator
+    # the body holds a latent-4 model with a relu generator: a config that
+    # implies another parameter count does not fit it, and one that keeps the
+    # count still changes the checksummed header
     ({"latent_dim": 64, "gen_out_activation": "sigmoid", "encoder_hidden": 999},
-     "dims.*latent.*64"),
-    ({"encoder_hidden": 999}, "spec 'encoder' .*config implies"),
-    ({"gen_out_activation": "sigmoid"}, "spec 'generator' .*config implies"),
-    ({"pred_hidden": 5}, "spec 'predictor' .*config implies"),
+     "truncated.*config implies"),
+    ({"encoder_hidden": 999}, "truncated.*config implies"),
+    ({"gen_out_activation": "sigmoid"}, "sha256 mismatch"),
+    ({"pred_hidden": 5}, "truncated.*config implies"),
+    ({"pred_hidden": 3}, "trailing.*config implies"),
+    ({"ref_batch": 7}, "sha256 mismatch"),
     ({"ref_batch": 0}, "config.*ref_batch: must be >= 1"),
     ({"mda": "no"}, "config.*mda: must be a boolean"),
     ({"seed": -1}, "config.*seed: must be >= 0"),
-], ids=["shape", "encoder_hidden", "gen_out_activation", "pred_hidden", "ref_batch_0",
-        "mda_no", "seed_negative"])
+], ids=["shape", "encoder_hidden", "gen_out_activation", "pred_hidden",
+        "pred_hidden_smaller", "ref_batch_7", "ref_batch_0", "mda_no", "seed_negative"])
 def test_checkpoint_config_must_be_valid_and_imply_the_specs(tmp_path, edit, message):
     path = _saved_checkpoint(tmp_path)
     _rewrite_header(path, lambda h: h["config"].update(edit))
@@ -456,19 +458,20 @@ def test_checkpoint_config_must_be_valid_and_imply_the_specs(tmp_path, edit, mes
         tr.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["dims.genes", "seed", "step"])
+@pytest.mark.parametrize("key", ["genes", "seed", "step"])
 @pytest.mark.parametrize("value", [-1, "6", True, None, 6.0])
 def test_checkpoint_header_integers_must_be_json_integers(tmp_path, key, value):
     path = _saved_checkpoint(tmp_path)
-
-    def edit(h):
-        if key == "dims.genes":
-            h["dims"]["genes"] = value
-        else:
-            h[key] = value
-
-    _rewrite_header(path, edit)
+    _rewrite_header(path, lambda h: h.update({key: value}))
     with pytest.raises(tr.CheckpointError, match=f"'{key}' must be an integer"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [None, 7, ["0" * 64], "0" * 64])
+def test_checkpoint_sha256_of_another_value_is_checkpoint_error(tmp_path, value):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, lambda h: h.update(sha256=value))
+    with pytest.raises(tr.CheckpointError, match="sha256 mismatch"):
         tr.load_checkpoint(path)
 
 
@@ -493,6 +496,27 @@ def test_any_json_config_value_loads_or_is_checkpoint_error(tmp_path_factory, ke
     except tr.CheckpointError:
         return
     assert getattr(cfg, key) == value
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_one_bit_flip_is_refused_or_loads_what_was_saved(tmp_path_factory, data):
+    path = _saved_checkpoint(tmp_path_factory.mktemp("flip"))
+    model, cfg, step = tr.load_checkpoint(path)
+    blob = bytearray(path.read_bytes())
+    nl = blob.index(b"\n")
+    # half the flips land in the header (with its newline), half in the body
+    byte = data.draw(st.integers(0, nl) | st.integers(nl + 1, len(blob) - 1),
+                     label="byte")
+    blob[byte] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(blob))
+    try:
+        got, got_cfg, got_step = tr.load_checkpoint(path)
+    except tr.CheckpointError:
+        return
+    assert (got_cfg, got_step, got.seed, got.specs) == (cfg, step, model.seed,
+                                                        model.specs)
+    assert got.flat.tobytes() == model.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
