@@ -18,6 +18,7 @@ import numpy as np
 
 from . import data as dat
 from . import evaluate as ev
+from . import model as mdl
 from . import synth as sy
 from . import train as tr
 from .train import TrainConfig
@@ -158,11 +159,14 @@ def load_bundle(cfg):
     target = dat.load_expression(cfg["target_expression"], fmt)
     if cfg["gene_list"]:
         wanted = dat.load_gene_list(cfg["gene_list"])
-        keep = [
-            [g for g in wanted if g in set(e.gene_names)] for e in exprs + [target]
-        ]
-        exprs = [e.subset_genes(k) for e, k in zip(exprs, keep[:-1])]
-        target = target.subset_genes(keep[-1])
+        restricted = []
+        for e in exprs + [target]:
+            have = set(e.gene_names)
+            genes = [g for g in wanted if g in have]
+            if not genes:
+                raise ValueError("gene_list shares no genes with an input matrix")
+            restricted.append(e.subset_genes(genes))
+        exprs, target = restricted[:-1], restricted[-1]
     aligned = dat.align_genes(exprs + [target])
     sources = []
     for s, expr in zip(cfg["sources"], aligned[:-1]):
@@ -181,14 +185,10 @@ def load_binary_labels(path, sample_ids):
 
 
 def _score_bundle(model, cfg_train, bundle, seed):
-    return ev.predict_target(
-        model,
-        bundle.target,
-        sources=bundle.sources,
-        ref_batch=cfg_train.ref_batch,
-        seed=seed,
-        weighted=cfg_train.awg_active,
-    )
+    """Target scores and the embeddings they were scored from."""
+    z = ev.embed_target(model, bundle.target, bundle.sources, cfg_train.ref_batch,
+                        seed, cfg_train.awg_active)
+    return mdl.predict(model, z).ravel(), z
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def cmd_train(args):
         "final_loss": dataclasses.asdict(history.parts[-1]),
     }
     if args.target_labels:
-        scores = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
+        scores, _ = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
         labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
         report = ev.metrics_report(scores, labels)
         metrics.update(
@@ -310,14 +310,10 @@ def cmd_predict(args):
             f"checkpoint expects {model.n_genes}"
         )
     seed = args.seed if args.seed is not None else cfg_train.seed
-    scores = _score_bundle(model, cfg_train, bundle, seed)
+    scores, z = _score_bundle(model, cfg_train, bundle, seed)
     ev.write_scores_csv(args.out, bundle.target.sample_ids, scores)
     if args.embeddings:
-        ev.export_embeddings(
-            model, bundle.target, args.embeddings,
-            weighted=cfg_train.awg_active, sources=bundle.sources,
-            ref_batch=cfg_train.ref_batch, seed=seed,
-        )
+        ev.write_embeddings_csv(args.embeddings, bundle.target.sample_ids, z)
     print(f"scored {len(scores)} target samples -> {args.out}")
     return 0
 
@@ -344,7 +340,13 @@ def cmd_evaluate(args):
 
 
 def _parse_seeds(text):
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ValueError(f"--seeds must list comma-separated integers, got {text!r}")
+    return seeds
 
 
 def cmd_ablate(args):

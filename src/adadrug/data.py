@@ -8,11 +8,17 @@ File formats:
               ``sample_id,ic50`` (binarized against the mean)
   gene list   plain text, one gene per line
   gene sets   one set per line: ``name<TAB>geneA,geneB,...``
+
+Expression, labels and (in ``evaluate``) scores files are sample tables that
+parse through ``read_table``: a header, then one row per sample with a unique
+id and finite numbers (0/1 in a ``label`` column); blank lines are skipped and
+errors name the line. Each loader checks only its header.
 """
 
 import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy import special as _sp_special
@@ -140,7 +146,7 @@ class TupleBatch:
 _DELIMS = {"csv": ",", "tsv": "\t"}
 
 
-def _parse_cell(text, line_num, what="value"):
+def _parse_cell(text, line_num, what):
     text = text.strip()
     if text == "":
         raise ParseError(f"line {line_num}: empty {what} cell")
@@ -153,84 +159,80 @@ def _parse_cell(text, line_num, what="value"):
     return v
 
 
+def read_table(path, delim, check_header, what):
+    """Parse a sample table into (header cells, sample ids, float64 values).
+
+    ``check_header`` gets the header cells (None for an empty file), raises
+    ``ParseError`` or returns each value column's name for messages; a column
+    named ``label`` must hold 0 or 1. ``what`` names the rows in the message
+    for a table without any. See the module docstring for the row rules.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delim)
+        header = next(reader, None)
+        columns = check_header(header)
+        label_cols = [j for j, name in enumerate(columns, start=1) if name == "label"]
+        n_cells = len(columns) + 1
+        ids, rows, seen = [], [], set()
+        for rec in reader:
+            if not rec:
+                continue
+            line = reader.line_num
+            if len(rec) != n_cells:
+                raise ParseError(f"line {line}: expected {n_cells} cells, got {len(rec)}")
+            sid = rec[0].strip()
+            if sid == "" or sid in seen:
+                raise ParseError(f"line {line}: missing or duplicate sample id {sid!r}")
+            seen.add(sid)
+            ids.append(sid)
+            row = list(map(_parse_cell, rec[1:], repeat(line), columns))
+            for j in label_cols:
+                if row[j - 1] not in (0.0, 1.0):
+                    raise ParseError(f"line {line}: label must be 0 or 1, got {rec[j]!r}")
+            rows.append(row)
+    if not ids:
+        raise ParseError(f"line 2: no {what} rows")
+    return header, ids, np.array(rows, dtype=np.float64)
+
+
+def _expression_header(header):
+    if header is None:
+        raise ParseError("line 1: empty file")
+    if not header:
+        raise ParseError("line 1: blank header line")
+    if header[0].strip().lower() not in ("", "sample"):
+        raise ParseError(
+            f"line 1: first header cell must be blank or 'sample', got {header[0]!r}"
+        )
+    genes = [g.strip() for g in header[1:]]
+    if not genes or any(g == "" for g in genes):
+        raise ParseError("line 1: missing gene name in header")
+    if len(set(genes)) != len(genes):
+        raise ParseError("line 1: duplicate gene names in header")
+    return ["value"] * len(genes)
+
+
 def load_expression(path, fmt="csv"):
     """Parse an expression matrix file; see the module docstring for layout."""
     if fmt not in _DELIMS:
         raise ValueError(f"format must be one of {sorted(_DELIMS)}, got {fmt!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=_DELIMS[fmt])
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("line 1: empty file") from None
-        if not header:
-            raise ParseError("line 1: blank header line")
-        if header[0].strip().lower() not in ("", "sample"):
-            raise ParseError(
-                f"line 1: first header cell must be blank or 'sample', got {header[0]!r}"
-            )
-        genes = [g.strip() for g in header[1:]]
-        if not genes or any(g == "" for g in genes):
-            raise ParseError("line 1: missing gene name in header")
-        if len(set(genes)) != len(genes):
-            raise ParseError("line 1: duplicate gene names in header")
-        ids, rows, seen = [], [], set()
-        for rec in reader:
-            line = reader.line_num
-            if not rec:
-                continue
-            if len(rec) != len(genes) + 1:
-                raise ParseError(
-                    f"line {line}: expected {len(genes) + 1} cells, got {len(rec)}"
-                )
-            sid = rec[0].strip()
-            if sid == "":
-                raise ParseError(f"line {line}: empty sample id")
-            if sid in seen:
-                raise ParseError(f"line {line}: duplicate sample id {sid!r}")
-            seen.add(sid)
-            ids.append(sid)
-            rows.append([_parse_cell(c, line) for c in rec[1:]])
-    if not ids:
-        raise ParseError("line 2: no sample rows")
-    return ExpressionMatrix(ids, genes, np.array(rows, dtype=np.float64))
+    header, ids, values = read_table(path, _DELIMS[fmt], _expression_header, "sample")
+    return ExpressionMatrix(ids, [g.strip() for g in header[1:]], values)
+
+
+def _labels_header(header):
+    if header is None:
+        raise ParseError("line 1: empty file")
+    cells = [c.strip().lower() for c in header]
+    if cells not in (["sample_id", "label"], ["sample_id", "ic50"]):
+        raise ParseError("line 1: header must be 'sample_id,label' or 'sample_id,ic50'")
+    return cells[1:]
 
 
 def load_labels(path):
     """Parse a labels file; returns (sample_ids, values, kind in {label, ic50})."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip().lower() for c in next(reader)]
-        except StopIteration:
-            raise ParseError("line 1: empty file") from None
-        if header == ["sample_id", "label"]:
-            kind = "label"
-        elif header == ["sample_id", "ic50"]:
-            kind = "ic50"
-        else:
-            raise ParseError(
-                "line 1: header must be 'sample_id,label' or 'sample_id,ic50'"
-            )
-        ids, vals, seen = [], [], set()
-        for rec in reader:
-            line = reader.line_num
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise ParseError(f"line {line}: expected 2 cells, got {len(rec)}")
-            sid = rec[0].strip()
-            if sid == "" or sid in seen:
-                raise ParseError(f"line {line}: missing or duplicate sample id")
-            seen.add(sid)
-            v = _parse_cell(rec[1], line, what=kind)
-            if kind == "label" and v not in (0.0, 1.0):
-                raise ParseError(f"line {line}: label must be 0 or 1, got {rec[1]!r}")
-            ids.append(sid)
-            vals.append(v)
-    if not ids:
-        raise ParseError("line 2: no label rows")
-    return ids, np.array(vals, dtype=np.float64), kind
+    header, ids, values = read_table(path, ",", _labels_header, "label")
+    return ids, values[:, 0], header[1].strip().lower()
 
 
 def labels_for(expr, label_ids, label_values, kind):

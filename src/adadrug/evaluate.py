@@ -148,20 +148,27 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
     return w_mean
 
 
-def predict_target(bundle, target, sources=None, ref_batch=128, seed=0,
-                   weighted=True):
-    """Score target samples for drug sensitivity; returns values in (0,1).
+def embed_target(bundle, target, sources=None, ref_batch=128, seed=0,
+                 weighted=True):
+    """The target embeddings the predictor scores.
 
     When the model was trained with the weight generator active, each
-    target embedding is modulated by its mean reference weight vector
-    before the predictor; otherwise (``weighted=False`` or no sources) the
-    raw embedding is scored and ``sources``/``ref_batch`` are ignored.
+    target embedding is modulated by its mean reference weight vector;
+    otherwise (``weighted=False`` or no sources) the raw embedding is
+    returned and ``sources``/``ref_batch`` are ignored.
     """
     x = target.values if hasattr(target, "values") else np.asarray(target)
     h = mdl.encode(bundle, x)
     if weighted and sources:
         w = mean_reference_weights(bundle, h, sources, ref_batch=ref_batch, seed=seed)
         h = mdl.apply_weights(h, w)
+    return h
+
+
+def predict_target(bundle, target, sources=None, ref_batch=128, seed=0,
+                   weighted=True):
+    """Score ``embed_target``'s embeddings for drug sensitivity, in (0,1)."""
+    h = embed_target(bundle, target, sources, ref_batch, seed, weighted)
     return mdl.predict(bundle, h).ravel()
 
 
@@ -182,54 +189,34 @@ def write_scores_csv(path, sample_ids, scores, labels=None):
                 w.writerow([sid, repr(float(s)), int(y)])
 
 
-def read_scores_csv(path):
-    """Returns (sample_ids, scores, labels-or-None), as write_scores_csv wrote.
+def _scores_header(header):
+    if header not in (["sample_id", "score"], ["sample_id", "score", "label"]):
+        raise dat.ParseError(f"line 1: header must be 'sample_id,score' or "
+                             f"'sample_id,score,label', got {header!r}")
+    return header[1:]
 
-    A row with another cell count, an empty or repeated sample id, a
-    non-finite score or a label other than 0/1 raises ``ParseError`` naming
-    its line; blank lines are skipped.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (["sample_id", "score"], ["sample_id", "score", "label"]):
-            raise dat.ParseError(f"line 1: header must be 'sample_id,score' or "
-                                 f"'sample_id,score,label', got {header!r}")
-        rows = {}
-        for rec in reader:
-            line = reader.line_num
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise dat.ParseError(f"line {line}: expected {len(header)} cells, "
-                                     f"got {len(rec)}")
-            sid = rec[0].strip()
-            if sid == "" or sid in rows:
-                raise dat.ParseError(f"line {line}: missing or duplicate sample id "
-                                     f"{sid!r}")
-            rows[sid] = [dat._parse_cell(c, line, what)
-                         for c, what in zip(rec[1:], header[1:])]
-            if rows[sid][1:] not in ([], [0.0], [1.0]):
-                raise dat.ParseError(f"line {line}: label must be 0 or 1, got {rec[2]!r}")
-    if not rows:
-        raise dat.ParseError("line 2: no score rows")
-    values = np.array(list(rows.values()))
+
+def read_scores_csv(path):
+    """Returns (sample_ids, scores, labels-or-None), as write_scores_csv wrote;
+    a malformed sample table raises ``ParseError`` naming its line."""
+    header, ids, values = dat.read_table(path, ",", _scores_header, "score")
     labels = values[:, 1].astype(np.int64) if len(header) == 3 else None
-    return list(rows), values[:, 0], labels
+    return ids, values[:, 0], labels
+
+
+def write_embeddings_csv(path, sample_ids, h):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample_id"] + [f"e{i}" for i in range(h.shape[1])])
+        for sid, row in zip(sample_ids, h):
+            w.writerow([sid] + [repr(float(v)) for v in row])
 
 
 def export_embeddings(bundle, expr, path, weighted=False, sources=None,
                       ref_batch=128, seed=0):
     """Write per-sample embeddings (h, or z when ``weighted``) as CSV."""
-    h = mdl.encode(bundle, expr.values)
-    if weighted:
-        if not sources:
-            raise ValueError("weighted export needs source domains for references")
-        w = mean_reference_weights(bundle, h, sources, ref_batch=ref_batch, seed=seed)
-        h = mdl.apply_weights(h, w)
-    with open(path, "w", newline="") as fh:
-        w_csv = csv.writer(fh)
-        w_csv.writerow(["sample_id"] + [f"e{i}" for i in range(h.shape[1])])
-        for sid, row in zip(expr.sample_ids, h):
-            w_csv.writerow([sid] + [repr(float(v)) for v in row])
+    if weighted and not sources:
+        raise ValueError("weighted export needs source domains for references")
+    h = embed_target(bundle, expr, sources, ref_batch, seed, weighted)
+    write_embeddings_csv(path, expr.sample_ids, h)
     return h

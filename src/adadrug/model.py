@@ -84,13 +84,14 @@ class ModelBundle:
 
     ``flat`` is in ``param_layout(specs)`` order; ``params[name]`` is ``[W0,
     b0, W1, b1, ...]``, views into ``flat`` shaped (fan_in, fan_out) and (1,
-    fan_out). Only the optimizer mutates them, in place.
+    fan_out). Only the optimizer mutates them, in place. Two bundles are
+    equal when their specs, seeds and the bytes of ``flat`` are.
     """
 
     specs: dict
     flat: np.ndarray
     seed: int = 0
-    params: dict = field(init=False, repr=False, compare=False)
+    params: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         dec, gen = self.specs["decoder"], self.specs["generator"]
@@ -109,6 +110,10 @@ class ModelBundle:
             view = self.flat[offset : offset + rows * cols].reshape(rows, cols)
             self.params[name.split(".")[0]].append(view)
             offset += rows * cols
+
+    def __eq__(self, other):
+        return (isinstance(other, ModelBundle) and self.specs == other.specs and
+                self.seed == other.seed and self.flat.tobytes() == other.flat.tobytes())
 
     @property
     def n_genes(self):

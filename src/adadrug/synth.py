@@ -173,8 +173,11 @@ def run_benchmark(cfg, variants, seeds, train_cfg=None):
     tape is bound by the interpreter lock, so threads cannot overlap them.
     """
     variants = list(variants)
+    seeds = list(seeds)
     if not variants:
         raise ValueError("variants must be non-empty")
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r} (choose from {VARIANTS})")

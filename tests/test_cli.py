@@ -275,7 +275,20 @@ def test_prep_train_predict_evaluate_pipeline(tmp_path):
     )
     assert len(ids) == 24
     assert ((scores > 0) & (scores < 1)).all()
-    assert emb_path.exists()
+    # one embedding pass feeds both files: each equals its own full computation
+    from adadrug import evaluate as ev
+
+    model, cfg_train, _ = tr.load_checkpoint(run / "checkpoint.bin")
+    assert cfg_train.awg_active
+    bundle = cli.load_bundle(cli.load_config(cfg_path))
+    kwargs = dict(sources=bundle.sources, ref_batch=cfg_train.ref_batch,
+                  seed=cfg_train.seed)
+    ev.write_scores_csv(tmp_path / "want_scores.csv", bundle.target.sample_ids,
+                        ev.predict_target(model, bundle.target, **kwargs))
+    ev.export_embeddings(model, bundle.target, tmp_path / "want_emb.csv",
+                         weighted=True, **kwargs)
+    assert scores_path.read_bytes() == (tmp_path / "want_scores.csv").read_bytes()
+    assert emb_path.read_bytes() == (tmp_path / "want_emb.csv").read_bytes()
 
     metrics_path = tmp_path / "metrics.json"
     assert main([
@@ -336,6 +349,62 @@ def test_ablate_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
                  str(target_labels), "--seeds", "0,-1", "--out", str(out)]) == 2
     assert "seed: must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ablate_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--config", str(cfg_path), "--target-labels",
+                 str(target_labels), "--seeds", ",", "--out", str(out)]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [",", " , ", "1,x"])
+def test_synth_bench_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys, seeds):
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--seeds", seeds, "--variants", "full",
+                 "--out", str(out)]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_gene_list_uses_the_listed_genes_in_list_order(tmp_path):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    listed = ["g5", "g1", "g7", "g3"]
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("\n".join(listed[:2] + ["absent"] + listed[2:]) + "\n")
+    with_list = dict(config, gene_list=str(gene_list), output_dir=str(tmp_path / "a"))
+    assert cli.load_bundle(cli.validate_config(with_list)).gene_names == listed
+
+    # the same data written out with just the listed columns, in list order
+    def subset(path):
+        out = tmp_path / ("listed_" + path.rsplit("/", 1)[-1])
+        cli.write_expression(out, dat.load_expression(path).subset_genes(listed))
+        return str(out)
+
+    pre_cut = dict(config, output_dir=str(tmp_path / "b"),
+                   target_expression=subset(config["target_expression"]),
+                   sources=[dict(s, expression=subset(s["expression"]))
+                            for s in config["sources"]])
+    for name, cfg in (("a.json", with_list), ("b.json", pre_cut)):
+        (tmp_path / name).write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / name)]) == 0
+    for artifact in ("checkpoint.bin", "history.csv"):
+        assert (tmp_path / "a" / artifact).read_bytes() == \
+            (tmp_path / "b" / artifact).read_bytes()
+    model, _, _ = tr.load_checkpoint(tmp_path / "a" / "checkpoint.bin")
+    assert model.n_genes == len(listed)
+
+
+def test_train_with_gene_list_sharing_no_gene_exits_2(tmp_path, capsys):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("absent\nalso_absent\n")
+    cfg_path.write_text(json.dumps(dict(config, gene_list=str(gene_list))))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "gene_list shares no genes" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 def test_synth_bench_happy_path(tmp_path):

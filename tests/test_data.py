@@ -98,6 +98,42 @@ def test_gene_list_and_sets(tmp_path):
         dat.load_gene_sets(p)
 
 
+# each sample-table reader with its header, the name its value column takes
+# in messages and the name of its rows
+READERS = {
+    "expression": (dat.load_expression, "sample,g1", "value", "sample"),
+    "labels": (dat.load_labels, "sample_id,label", "label", "label"),
+    "scores": (ev.read_scores_csv, "sample_id,score", "score", "score"),
+}
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("a,1\n,0\n", "line 3: missing or duplicate sample id ''"),
+    ("a,1\n\n a ,0\n", "line 4: missing or duplicate sample id 'a'"),
+    ("a,1\nb\n", "line 3: expected 2 cells, got 1"),
+    ("a,1\nb,0,1\n", "line 3: expected 2 cells, got 3"),
+    ("a,1\nb,x\n", "line 3: non-numeric {col} 'x'"),
+    ("a,1\nb, \n", "line 3: empty {col} cell"),
+    ("a,1\nb,inf\n", "line 3: non-finite {col} 'inf'"),
+    ("\n\n", "line 2: no {rows} rows"),
+], ids=["empty_id", "repeated_id", "short_row", "long_row", "non_numeric",
+        "empty_cell", "non_finite", "blank_lines_only"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_one_table_rule_gives_one_message(tmp_path, reader, rows, message):
+    load, header, col, what = READERS[reader]
+    path = write(tmp_path, "table.csv", header + "\n" + rows)
+    with pytest.raises(dat.ParseError) as err:
+        load(path)
+    assert str(err.value) == message.format(col=col, rows=what)
+
+
+def test_a_gene_named_label_takes_any_number(tmp_path):
+    # the 0/1 rule follows the column names the header check returns, and an
+    # expression file's value columns are genes, whatever they are called
+    m = dat.load_expression(write(tmp_path, "e.csv", "sample,label\na,0.5\n"))
+    assert m.gene_names == ["label"] and m.values[0, 0] == 0.5
+
+
 def _file(delim, header, row):
     """A header line and up to four rows of ``delim``-joined cells, each line a
     first cell and one or two more drawn from the given pools, so a share of

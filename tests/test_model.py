@@ -92,6 +92,17 @@ def test_bundle_rejects_a_flat_vector_of_another_length(extra):
         mdl.ModelBundle(specs=specs, flat=np.zeros(mdl.param_count(specs) + extra))
 
 
+def test_bundles_are_equal_on_specs_seed_and_parameter_bits():
+    a, b = make_bundle(seed=3), make_bundle(seed=3)
+    assert a == b and not a != b
+    flipped = a.flat.copy()
+    flipped.view(np.uint64)[7] ^= 1  # one low mantissa bit of one parameter
+    assert mdl.ModelBundle(a.specs, flipped, a.seed) != a
+    assert mdl.ModelBundle(a.specs, a.flat.copy(), seed=4) != a
+    assert make_bundle(seed=4) != a
+    assert a != "bundle"
+
+
 def test_encode_hand_case_and_shapes():
     bundle = one_layer_bundle()
     bundle.params["encoder"][0][:] = [[1.0], [1.0]]

@@ -111,6 +111,11 @@ def test_run_benchmark_rejects_bad_variants():
         sy.run_benchmark(_fast_cfg(), ["fancy"], [0])
 
 
+def test_run_benchmark_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="seeds must be non-empty"):
+        sy.run_benchmark(_fast_cfg(), ["full"], [])
+
+
 def test_every_variant_clears_sanity_floor_without_shift():
     cfg = small_cfg(shift=0.0, noise=0.05, n_per_domain=200, n_target=200)
     rows = sy.run_benchmark(
