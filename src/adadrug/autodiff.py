@@ -4,12 +4,12 @@ Every value in the graph is a 2-D ``numpy.float64`` array. Operations append
 ``Node`` objects to a ``Tape`` in creation order, which is by construction a
 valid topological order; ``backward`` walks it once in reverse.
 
-Gradient contract: only leaves (``Tape.leaf``: parameters, inputs and
-constants) hold a ``Node.grad`` buffer, zeroed when the leaf is made; every
-interior node's ``grad`` is ``None``, because ``backward`` carries interior
-gradients in its own local list and drops them once used. ``backward``
-*adds* into the leaves' ``grad``, so two calls without ``Tape.zero_grads``
-accumulate. Subgradients at the relu/abs kinks are 0.
+Gradient contract: only ``Tape.leaf`` nodes hold a ``Node.grad`` buffer,
+the caller's ``grad`` array (training passes views of one vector laid out
+like ``ModelBundle.flat``) or a zeroed one of their own; ``Tape.const``
+leaves and interior nodes hold ``None``. ``backward`` keeps interior
+gradients in a local list and *adds* into the buffers, so two calls without
+``Tape.zero_grads`` accumulate. Subgradients at the relu/abs kinks are 0.
 
 ``dense`` is the fused layer node, ``act(x @ W + b)``. Its forward is
 :func:`adadrug.kernels.dense`, the same layer function the array-level
@@ -36,14 +36,14 @@ def as_matrix(x):
 
 
 class Node:
-    """One tape entry: a value, its gradient accumulator (leaves only,
-    ``None`` on interior nodes), and provenance."""
+    """One tape entry: a value, its gradient accumulator (``Tape.leaf``
+    nodes only, ``None`` elsewhere), and provenance."""
 
     __slots__ = ("value", "grad", "op", "parents", "_backward", "_idx", "tape")
 
-    def __init__(self, value, op, parents, backward, idx, tape):
+    def __init__(self, value, op, parents, backward, idx, tape, grad=None):
         self.value = value
-        self.grad = None if parents else np.zeros_like(value)
+        self.grad = grad
         self.op = op
         self.parents = parents
         self._backward = backward
@@ -64,12 +64,18 @@ class Tape:
     def __init__(self):
         self.nodes = []
 
-    def leaf(self, value, op="leaf"):
-        """Enter a parameter or constant into the graph."""
+    def leaf(self, value, op="leaf", grad=None):
+        """Differentiable input; ``backward`` adds into ``grad`` or a zeroed array."""
+        value = as_matrix(value)
+        grad = np.zeros_like(value) if grad is None else grad
+        return self._record(value, op, (), None, grad)
+
+    def const(self, value, op="const"):
+        """Enter data that needs no gradient: the node holds no buffer."""
         return self._record(as_matrix(value), op, (), None)
 
-    def _record(self, value, op, parents, backward):
-        node = Node(value, op, parents, backward, len(self.nodes), self)
+    def _record(self, value, op, parents, backward, grad=None):
+        node = Node(value, op, parents, backward, len(self.nodes), self, grad)
         self.nodes.append(node)
         return node
 
@@ -80,7 +86,7 @@ class Tape:
 
 
 def backward(tape, loss):
-    """Accumulate d(loss)/d(leaf) into every leaf's ``grad``.
+    """Accumulate d(loss)/d(leaf) into every ``Tape.leaf`` node's ``grad``.
 
     ``loss`` must be a 1x1 node on ``tape``. Per-call gradients are built in
     local buffers and added to the leaves' ``Node.grad``, so repeated calls
@@ -100,7 +106,8 @@ def backward(tape, loss):
         if g is None:
             continue
         if node._backward is None:
-            node.grad += g
+            if node.grad is not None:
+                node.grad += g
             continue
         local[node._idx] = None
         for parent, contrib in zip(node.parents, node._backward(g)):

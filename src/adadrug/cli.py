@@ -8,8 +8,10 @@ can be reproduced bit for bit.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -144,12 +146,24 @@ def write_json(path, obj):
 # shared data plumbing
 # ---------------------------------------------------------------------------
 
+def _csv_cells(cells, delim):
+    """``cells`` joined as ``csv.writer`` writes them, without the line end:
+    a cell holding the delimiter, a quote or a newline is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delim, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
 def write_expression(path, expr, fmt="csv"):
+    """The table ``data.load_expression`` reads back. Ids and gene names go
+    through ``csv.writer``; a value's repr never needs quoting, so values are
+    joined directly, which is faster on wide tables."""
     delim = {"csv": ",", "tsv": "\t"}[fmt]
-    with open(path, "w") as fh:
-        fh.write("sample" + delim + delim.join(expr.gene_names) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_cells(["sample", *expr.gene_names], delim) + "\n")
         for sid, row in zip(expr.sample_ids, expr.values):
-            fh.write(sid + delim + delim.join(repr(float(v)) for v in row) + "\n")
+            fh.write(_csv_cells([sid], delim) + delim
+                     + delim.join(map(repr, row.tolist())) + "\n")
 
 
 def load_bundle(cfg):
@@ -271,11 +285,11 @@ def cmd_train(args):
         sampler=args.sampler,
     )
     cfg.update(cfg_train.to_dict())
+    bundle = load_bundle(cfg)  # a data error exits before anything is written
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
 
-    bundle = load_bundle(cfg)
     model, history = tr.train(bundle, cfg_train)
     tr.save_checkpoint(model, cfg_train, history.final_step, out / "checkpoint.bin")
     history.write_csv(out / "history.csv")
@@ -303,14 +317,15 @@ def cmd_train(args):
 def cmd_predict(args):
     cfg = load_config(args.config)
     model, cfg_train, _ = tr.load_checkpoint(args.checkpoint)
+    if args.seed is not None:  # TrainConfig checks the seed, as it does in ablate
+        cfg_train = dataclasses.replace(cfg_train, seed=args.seed)
     bundle = load_bundle(cfg)
     if bundle.target.n_genes != model.n_genes:
         raise ValueError(
             f"configured data has {bundle.target.n_genes} genes but the "
             f"checkpoint expects {model.n_genes}"
         )
-    seed = args.seed if args.seed is not None else cfg_train.seed
-    scores, z = _score_bundle(model, cfg_train, bundle, seed)
+    scores, z = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
     ev.write_scores_csv(args.out, bundle.target.sample_ids, scores)
     if args.embeddings:
         ev.write_embeddings_csv(args.embeddings, bundle.target.sample_ids, z)

@@ -247,11 +247,18 @@ def labels_for(expr, label_ids, label_values, kind):
 
 
 def load_gene_list(path):
+    """One gene name per line; blank lines are skipped, a repeat is refused."""
+    genes = {}  # insertion-ordered, with O(1) lookups
     with open(path) as fh:
-        genes = [line.strip() for line in fh if line.strip()]
+        for i, line in enumerate(fh, start=1):
+            gene = line.strip()
+            if gene in genes:
+                raise ParseError(f"line {i}: duplicate gene {gene!r}")
+            if gene:
+                genes[gene] = None
     if not genes:
         raise ParseError("gene list file is empty")
-    return genes
+    return list(genes)
 
 
 def load_gene_sets(path):

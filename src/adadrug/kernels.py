@@ -14,6 +14,11 @@ allocating temporaries, and give the same bits as the out-of-place call.
 
 import numpy as np
 
+# bytes of the rows x len(b) x G difference tensor one pairwise_sq_dists block
+# may hold (at least one row); a whole-matrix tensor grows as n^2 G, which is
+# 2.9 GB for 300 samples over 4,000 genes
+PAIRWISE_BLOCK_BYTES = 4 << 20
+
 
 def sigmoid(x, out=None):
     # exp(-|x|) never overflows; the two branches pick the stable form,
@@ -89,6 +94,16 @@ def adam_step(p, g, m, v, lr, b1, b2, eps, t, s1, s2):
 
 
 def pairwise_sq_dists(a, b):
-    """Squared Euclidean distances, rows of a vs rows of b -> (len(a), len(b))."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared Euclidean distances, rows of a vs rows of b -> (len(a), len(b)).
+
+    Rows of ``a`` go in blocks whose difference tensor stays within
+    ``PAIRWISE_BLOCK_BYTES``; each block runs the same einsum, which sums each
+    entry over the genes on its own, so the result does not depend on the
+    block size.
+    """
+    out = np.empty((len(a), len(b)), dtype=np.result_type(a, b))
+    rows = max(1, PAIRWISE_BLOCK_BYTES // (out.itemsize * max(1, b.size)))
+    for start in range(0, len(a), rows):
+        diff = a[start : start + rows, None, :] - b[None, :, :]
+        out[start : start + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out

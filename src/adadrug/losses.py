@@ -44,7 +44,7 @@ def _sum(terms, empty_message):
 def _sq_err_mean(pred_node, target):
     """sum((pred - target)^2) / batch == batch mean of squared row norms."""
     tape = pred_node.tape
-    t = tape.leaf(target, op="const")
+    t = tape.const(target)
     diff = ad.sub(pred_node, t)
     return ad.scale(ad.sum_all(ad.ewmul(diff, diff)), 1.0 / pred_node.shape[0])
 
@@ -77,7 +77,7 @@ def ind_loss(w_nodes):
         raise ValueError("ind_loss: need at least one weight matrix")
     batch = w_nodes[0].shape[0]
     tape = w_nodes[0].tape
-    ones = tape.leaf(np.ones((batch, 1)), op="const")
+    ones = tape.const(np.ones((batch, 1)))
 
     def terms():
         for a in range(k):
@@ -114,7 +114,7 @@ def adv_loss(d_sources, d_target=None):
         for p in d_sources:
             yield _neg_log(p)
         if d_target is not None:
-            ones = d_target.tape.leaf(np.ones(d_target.shape), op="const")
+            ones = d_target.tape.const(np.ones(d_target.shape))
             yield _neg_log(ad.sub(ones, d_target))
 
     # _sum raises on no columns before 1 / n_items is taken

@@ -104,12 +104,7 @@ class ModelBundle:
         if self.flat.shape != (param_count(self.specs),):
             raise ValueError(f"flat must hold the specs' {param_count(self.specs)} "
                              f"parameters, got shape {self.flat.shape}")
-        self.params = {comp: [] for comp in COMPONENTS}
-        offset = 0
-        for name, (rows, cols) in param_layout(self.specs):
-            view = self.flat[offset : offset + rows * cols].reshape(rows, cols)
-            self.params[name.split(".")[0]].append(view)
-            offset += rows * cols
+        self.params = param_views(self.flat, self.specs)
 
     def __eq__(self, other):
         return (isinstance(other, ModelBundle) and self.specs == other.specs and
@@ -147,6 +142,17 @@ def param_layout(specs):
             layout.append((f"{comp}.{i}.W", (fan_in, fan_out)))
             layout.append((f"{comp}.{i}.b", (1, fan_out)))
     return layout
+
+
+def param_views(flat, specs):
+    """``{component: [W0, b0, W1, b1, ...]}``: views of ``flat`` in layout order."""
+    views = {comp: [] for comp in COMPONENTS}
+    offset = 0
+    for name, (rows, cols) in param_layout(specs):
+        views[name.split(".")[0]].append(flat[offset : offset + rows * cols]
+                                         .reshape(rows, cols))
+        offset += rows * cols
+    return views
 
 
 def param_count(specs):
@@ -256,11 +262,12 @@ def predict(bundle, z):
 # ---------------------------------------------------------------------------
 
 def lift_params(tape, bundle):
-    """Enter every parameter array into the tape; returns nodes per component."""
-    return {
-        comp: [tape.leaf(a, op=f"{comp}.param") for a in bundle.params[comp]]
-        for comp in COMPONENTS
-    }
+    """Enter the parameters as leaves; returns (nodes per component, flat gradient)."""
+    grad = np.zeros_like(bundle.flat)
+    views = param_views(grad, bundle.specs)
+    return {comp: [tape.leaf(a, op=f"{comp}.param", grad=g)
+                   for a, g in zip(bundle.params[comp], views[comp])]
+            for comp in COMPONENTS}, grad
 
 
 def mlp_forward_nodes(spec, param_nodes, x):

@@ -194,20 +194,20 @@ def build_specs(n_genes, cfg):
 
 
 def train_step(bundle, batch, cfg, lam):
-    """Forward + backward for one tuple batch; returns (grads, LossParts).
+    """Forward + backward for one tuple batch; returns (grad, LossParts).
 
-    Gradients come back in ``bundle.arrays()`` order. ``lam`` is the
+    ``grad`` is one vector laid out like ``bundle.flat``. ``lam`` is the
     gradient-reversal coefficient for this step.
     """
     tape = ad.Tape()
-    pn = mdl.lift_params(tape, bundle)
+    pn, grad = mdl.lift_params(tape, bundle)
     specs = bundle.specs
 
-    x_nodes = [tape.leaf(x, op="x_source") for x in batch.x_sources]
+    x_nodes = [tape.const(x, op="x_source") for x in batch.x_sources]
     h_s = [mdl.mlp_forward_nodes(specs["encoder"], pn["encoder"], x) for x in x_nodes]
     h_t = None
     if cfg.mda:
-        xt_node = tape.leaf(batch.x_target, op="x_target")
+        xt_node = tape.const(batch.x_target, op="x_target")
         h_t = mdl.mlp_forward_nodes(specs["encoder"], pn["encoder"], xt_node)
 
     w_s = None
@@ -246,11 +246,7 @@ def train_step(bundle, batch, cfg, lam):
 
     total = ls.total_loss(reco=reco, ind=ind, adv=adv, cls=cls)
     ad.backward(tape, total)
-
-    grads = []
-    for comp in mdl.COMPONENTS:
-        grads.extend(node.grad for node in pn[comp])
-    return grads, ls.make_parts(reco, ind, adv, cls, total)
+    return grad, ls.make_parts(reco, ind, adv, cls, total)
 
 
 def train(bundle, cfg):
@@ -271,7 +267,7 @@ def train(bundle, cfg):
     work = dat.DomainBundle(sources, bundle.target)
 
     model = mdl.init_params(build_specs(n_genes, cfg), init_seed)
-    opt = Adam(model.arrays(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam([model.flat], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
 
     sizes = [d.expr.n_samples for d in sources] + [bundle.target.n_samples]
     steps_per_epoch = -(-max(sizes) // cfg.batch_size)
@@ -283,11 +279,11 @@ def train(bundle, cfg):
         t0 = time.perf_counter()
         for batch in dat.assemble_batches(work, cfg.batch_size, batch_seed, epoch):
             lam = grl_coefficient(cfg, step, total_steps)
-            grads, parts = train_step(model, batch, cfg, lam)
+            grad, parts = train_step(model, batch, cfg, lam)
             if not math.isfinite(parts.total):
                 raise DivergenceError(f"training diverged at step {step}: "
                                       f"loss parts {parts}")
-            opt.step(grads)
+            opt.step([grad])
             history.parts.append(parts)
             step += 1
         history.epoch_seconds.append(time.perf_counter() - t0)

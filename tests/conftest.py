@@ -49,6 +49,13 @@ def make_bundle(seed=0, n_genes=10, latent=4, enc_hidden=6, head_hidden=3,
     return bundle
 
 
+def split_grad(bundle, grad):
+    """The flat gradient ``train_step`` returns, as arrays in ``bundle.arrays()``
+    order, cut by ``model.param_views``."""
+    views = mdl.param_views(grad, bundle.specs)
+    return [v for comp in mdl.COMPONENTS for v in views[comp]]
+
+
 def unfused_dense(x, w, b, act):
     """The matmul -> add_bias -> activation chain ``ad.dense`` fuses; the
     reference its values and gradients are compared against bit for bit."""

@@ -20,7 +20,7 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import make_bundle
+from conftest import make_bundle, split_grad
 from oracles import (
     aupr_threshold_sweep,
     auroc_pair_count,
@@ -54,7 +54,8 @@ def test_criterion_1_gradient_correctness(rng):
     cfg = tr.TrainConfig(latent_dim=4, encoder_hidden=6, disc_hidden=3,
                          pred_hidden=3, sampler="none")
     lam = 1.0
-    grads, parts = tr.train_step(bundle, batch, cfg, lam)
+    grad, parts = tr.train_step(bundle, batch, cfg, lam)
+    grads = split_grad(bundle, grad)
     names = [n for n, _ in bundle.named_arrays()]
     arrays = bundle.arrays()
 
@@ -87,7 +88,7 @@ def test_criterion_1_gradient_correctness(rng):
     # per-term gradients, rebuilt in isolation against their own FD
     def term_grads(part):
         t = ad.Tape()
-        pn = mdl.lift_params(t, bundle)
+        pn, _ = mdl.lift_params(t, bundle)
         specs = bundle.specs
         h_s = [mdl.mlp_forward_nodes(specs["encoder"], pn["encoder"], t.leaf(x))
                for x in batch.x_sources]

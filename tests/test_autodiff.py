@@ -174,6 +174,16 @@ def test_backward_accumulates_and_zero_grads_resets():
     assert [node.grad for node in t.nodes if node.parents] == [None, None]
 
 
+def test_leaf_adds_into_a_given_buffer_and_const_holds_none():
+    t = ad.Tape()
+    flat = np.zeros(3)
+    x = t.leaf([[3.0]], grad=flat[1:2].reshape(1, 1))
+    c = t.const([[2.0]])
+    ad.backward(t, ad.sum_all(ad.ewmul(ad.ewmul(x, x), c)))
+    assert c.grad is None and c.op == "const"
+    np.testing.assert_array_equal(flat, [0.0, 12.0, 0.0])  # d(c x^2)/dx = 2 c x
+
+
 def _composite_loss(tape, x, w, b):
     """Exercise every primitive in one graph."""
     h = ad.add_bias(ad.matmul(x, w), b)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -407,6 +408,17 @@ def test_train_with_gene_list_sharing_no_gene_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
+def test_train_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
+        tmp_path, capsys):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g3\ng5\ng3\n")
+    cfg_path.write_text(json.dumps(dict(config, gene_list=str(gene_list))))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "error: line 3: duplicate gene 'g3'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_synth_bench_happy_path(tmp_path):
     out = tmp_path / "bench"
     rc = main([
@@ -490,6 +502,39 @@ def test_prep_hvg_zero_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_prep_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
+        tmp_path, capsys):
+    _, config, _ = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g3\ng5\ng3\n")
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + ["--gene-list", str(gene_list)]) == 2
+    assert "error: line 3: duplicate gene 'g3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt,delim", [("csv", ","), ("tsv", "\t")])
+def test_prep_output_reloads_names_holding_delimiters_quotes_and_newlines(
+        tmp_path, fmt, delim):
+    ids = ["a,1", 'b"2', "c\td", "e\nf", "plain"]
+    genes = ["g,0", 'h"1', "x\ty", "p\nq", "g4"]
+    values = np.random.default_rng(5).normal(size=(5, 5)) * 10.0 ** np.arange(-3, 2)
+    values[0, :3] = [-0.0, 1e-300, -1.7976931348623157e308]
+    paths = [tmp_path / f"{name}.{fmt}" for name in ("source", "target")]
+    for path in paths:
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, delimiter=delim, lineterminator="\n")
+            out.writerow(["sample", *genes])
+            out.writerows([sid, *map(repr, row.tolist())] for sid, row in zip(ids, values))
+    prep = tmp_path / "prep"
+    assert main(["prep", "--sources", str(paths[0]), "--target", str(paths[1]),
+                 "--out", str(prep), "--format", fmt]) == 0
+    for name in (f"source_0.{fmt}", f"target.{fmt}"):
+        back = dat.load_expression(prep / name, fmt)
+        assert back.sample_ids == ids and back.gene_names == genes
+        assert back.values.tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("given,missing", [("--deg-a", "--deg-b"),
                                            ("--deg-b", "--deg-a")])
 def test_prep_lone_deg_flag_names_the_missing_one(tmp_path, capsys, given, missing):
@@ -514,6 +559,20 @@ def test_predict_on_checkpoint_with_swapped_arrays_exits_2(tmp_path, capsys):
     assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "scores.csv")]) == 2
     assert "sha256 mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("awg", [True, False])
+def test_predict_negative_seed_flag_exits_2_and_writes_nothing(tmp_path, capsys, awg):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    cfg_path.write_text(json.dumps(dict(config, awg=awg)))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint",
+                 str(run / "checkpoint.bin"), "--out", str(tmp_path / "scores.csv"),
+                 "--seed", "-1"]) == 2
+    assert "error: seed: must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "scores.csv").exists()
 
 

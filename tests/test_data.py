@@ -98,6 +98,12 @@ def test_gene_list_and_sets(tmp_path):
         dat.load_gene_sets(p)
 
 
+def test_gene_list_refuses_a_repeated_gene_naming_its_line(tmp_path):
+    p = write(tmp_path, "genes.txt", "g3\ng5\n\ng3\n")
+    with pytest.raises(dat.ParseError, match=r"^line 4: duplicate gene 'g3'$"):
+        dat.load_gene_list(p)
+
+
 # each sample-table reader with its header, the name its value column takes
 # in messages and the name of its rows
 READERS = {

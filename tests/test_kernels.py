@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adadrug import kernels
 
@@ -60,6 +65,41 @@ def test_pairwise_matches_bruteforce():
     for i in range(5):
         for j in range(4):
             assert got[i, j] == pytest.approx(((a[i] - b[j]) ** 2).sum(), rel=1e-12)
+
+
+def _one_shot_sq_dists(a, b):
+    """The whole-matrix formula the blocked kernel replaced: one n x m x G
+    difference tensor and one einsum."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@given(m=st.integers(1, 6), genes=st.integers(1, 40), block=st.integers(1, 4),
+       slack=st.integers(0, 7), extra=st.integers(-3, 9), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_blocked_pairwise_is_bitwise_the_one_shot_formula(m, genes, block, slack,
+                                                          extra, seed):
+    # a budget of ``block`` rows plus some slack; n below, at and above a block
+    n = max(1, block + extra)
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, genes)), rng.normal(size=(m, genes))
+    budget = 8 * m * genes * block + slack
+    with mock.patch.object(kernels, "PAIRWISE_BLOCK_BYTES", budget):
+        got = kernels.pairwise_sq_dists(a, b)
+    assert got.tobytes() == _one_shot_sq_dists(a, b).tobytes()
+
+
+def test_pairwise_peak_memory_stays_small_on_a_wide_minority_class():
+    # one-shot: a 200 x 200 x 2000 float64 tensor, 640 MB
+    a = _rand((200, 2000), seed=20)
+    tracemalloc.start()
+    try:
+        got = kernels.pairwise_sq_dists(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert got[:40].tobytes() == _one_shot_sq_dists(a[:40], a).tobytes()
 
 
 def test_sigmoid_is_stable_at_extremes():

@@ -6,7 +6,7 @@ from adadrug import losses as ls
 from adadrug import model as mdl
 from adadrug import train as tr
 
-from conftest import make_batch, make_bundle
+from conftest import make_batch, make_bundle, split_grad
 from oracles import central_diff, ind_penalty_direct, max_rel_error
 
 
@@ -203,7 +203,8 @@ def test_every_loss_gradient_matches_finite_differences(rng):
     cfg = tr.TrainConfig(latent_dim=4, encoder_hidden=6, disc_hidden=3,
                          pred_hidden=3, sampler="none")
     lam = 1.0
-    grads, parts = tr.train_step(bundle, batch, cfg, lam)
+    grad, parts = tr.train_step(bundle, batch, cfg, lam)
+    grads = split_grad(bundle, grad)
     names = [n for n, _ in bundle.named_arrays()]
     arrays = bundle.arrays()
 
@@ -234,7 +235,7 @@ def test_encoder_gradient_from_adv_is_reversed(rng):
 
     def adv_encoder_grads(lam, reverse):
         t = ad.Tape()
-        pn = mdl.lift_params(t, bundle)
+        pn, _ = mdl.lift_params(t, bundle)
         h = mdl.mlp_forward_nodes(bundle.specs["encoder"], pn["encoder"], t.leaf(x))
         z = ad.grad_reverse(h, lam) if reverse else h
         d = mdl.mlp_forward_nodes(bundle.specs["discriminator"], pn["discriminator"], z)

@@ -234,7 +234,7 @@ def test_node_and_array_forward_are_bitwise_equal(rng):
     x = rng.normal(size=(5, bundle.n_genes))
     h_arr = mdl.encode(bundle, x)
     tape = ad.Tape()
-    pn = mdl.lift_params(tape, bundle)
+    pn, _ = mdl.lift_params(tape, bundle)
     h_node = mdl.mlp_forward_nodes(bundle.specs["encoder"], pn["encoder"], tape.leaf(x))
     np.testing.assert_array_equal(h_node.value, h_arr)
 

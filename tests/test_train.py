@@ -14,8 +14,8 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import (JSON_VALUES, make_domain, swap_body_blocks, unfused_dense,
-                      write_v1_checkpoint)
+from conftest import (JSON_VALUES, make_domain, split_grad, swap_body_blocks,
+                      unfused_dense, write_v1_checkpoint)
 
 
 def tiny_bundle(rng, n_sources=2, n=24, n_genes=6, target_n=20):
@@ -241,7 +241,7 @@ def test_train_step_is_bitwise_the_unfused_graph(monkeypatch, variant, gen_out):
                                    tiny_cfg(gen_out_activation=gen_out))
     batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
     model = mdl.init_params(tr.build_specs(12, cfg), 2)
-    fused_grads, fused_parts = tr.train_step(model, batch, cfg, 0.4)
+    fused_grad, fused_parts = tr.train_step(model, batch, cfg, 0.4)
 
     reference_calls = []
 
@@ -250,9 +250,9 @@ def test_train_step_is_bitwise_the_unfused_graph(monkeypatch, variant, gen_out):
         return unfused_dense(x, w, b, act)
 
     monkeypatch.setattr(ad, "dense", reference)
-    grads, parts = tr.train_step(model, batch, cfg, 0.4)
+    grad, parts = tr.train_step(model, batch, cfg, 0.4)
     assert reference_calls
-    assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in grads]
+    assert fused_grad.tobytes() == grad.tobytes()
     assert [v.hex() for v in dataclasses.astuple(fused_parts)] == \
         [v.hex() for v in dataclasses.astuple(parts)]
 
@@ -260,7 +260,8 @@ def test_train_step_is_bitwise_the_unfused_graph(monkeypatch, variant, gen_out):
 @pytest.mark.parametrize("variant,n_nodes", [("full", 179), ("no_mda", 76),
                                              ("baseline", 68)])
 def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
-    # one dense node per layer, and gradient buffers on leaves only
+    # one dense node per layer, and gradient buffers on the parameter leaves
+    # only, each a view of the one gradient vector the step returns
     sb = sy.generate(sy.SynthConfig(seed=3))
     bundle, cfg = sy.variant_setup(variant, sb.bundle, sy.bench_train_config())
     batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
@@ -273,11 +274,39 @@ def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
         backward(tape, loss)
 
     monkeypatch.setattr(ad, "backward", recording_backward)
-    tr.train_step(model, batch, cfg, 0.5)
+    grad, _ = tr.train_step(model, batch, cfg, 0.5)
     (tape,) = tapes
     assert len(tape.nodes) == n_nodes
     assert not {"matmul", "add_bias", "relu", "sigmoid"} & {n.op for n in tape.nodes}
-    assert all((node.grad is None) == bool(node.parents) for node in tape.nodes)
+    holders = [node for node in tape.nodes if node.grad is not None]
+    assert len(holders) == len(model.arrays()) == 20
+    assert all(node.op.endswith(".param") and not node.parents for node in holders)
+    assert all(node.grad.base is grad for node in holders)
+    assert sum(node.grad.nbytes for node in holders) == model.flat.nbytes == grad.nbytes
+    assert [(n.grad.ctypes.data, n.grad.shape) for n in holders] == \
+        [(v.ctypes.data, v.shape) for v in split_grad(model, grad)]
+
+
+def test_adam_over_flat_is_bitwise_adam_per_array():
+    # Adam's update is elementwise, so one call over the flat vector gives the
+    # bits of one call per parameter array fed that array's gradient slice
+    sb = sy.generate(sy.SynthConfig(n_sources=3, n_per_domain=40, n_target=40,
+                                    n_genes=12, signal_dim=4, seed=2))
+    bundle, cfg = sy.variant_setup("full", sb.bundle, tiny_cfg(learning_rate=1e-2))
+    batches = dat.assemble_batches(bundle, cfg.batch_size, seed=0)
+    flat_model = mdl.init_params(tr.build_specs(12, cfg), 4)
+    per_array = flat_model.copy()
+    flat_opt = tr.Adam([flat_model.flat], cfg.learning_rate)
+    array_opt = tr.Adam(per_array.arrays(), cfg.learning_rate)
+    start = flat_model.flat.copy()
+    for step in range(60):
+        batch = batches[step % len(batches)]
+        grad, _ = tr.train_step(flat_model, batch, cfg, 0.5)
+        flat_opt.step([grad])
+        grad, _ = tr.train_step(per_array, batch, cfg, 0.5)
+        array_opt.step(split_grad(per_array, grad))
+    assert not np.array_equal(flat_model.flat, start)
+    assert flat_model.flat.tobytes() == per_array.flat.tobytes()
 
 
 def test_paper_width_step_and_adam_stay_under_32_mb():
@@ -289,11 +318,11 @@ def test_paper_width_step_and_adam_stay_under_32_mb():
         y_sources=[rng.integers(0, 2, size=64) for _ in range(3)],
         x_target=rng.normal(size=(64, 500)),
     )
-    opt = tr.Adam(model.arrays(), cfg.learning_rate)
+    opt = tr.Adam([model.flat], cfg.learning_rate)
     tracemalloc.start()
     try:
-        grads, _ = tr.train_step(model, batch, cfg, 0.5)
-        opt.step(grads)
+        grad, _ = tr.train_step(model, batch, cfg, 0.5)
+        opt.step([grad])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -539,7 +568,7 @@ def test_encoder_adv_gradient_equals_minus_lambda_times_unreversed(rng):
 
     def encoder_adv_grads(lam, reverse=True):
         tape = ad.Tape()
-        pn = mdl.lift_params(tape, model)
+        pn, _ = mdl.lift_params(tape, model)
         specs = model.specs
         h_s = [mdl.mlp_forward_nodes(specs["encoder"], pn["encoder"], tape.leaf(x))
                for x in batch.x_sources]
