@@ -148,10 +148,11 @@ def write_json(path, obj):
 
 def _csv_cells(cells, delim):
     """``cells`` joined as ``csv.writer`` writes them, without the line end:
-    a cell holding the delimiter, a quote or a newline is quoted."""
+    a cell holding the delimiter, a quote, a carriage return or a newline is
+    quoted (``csv.writer`` quotes the characters of its line terminator)."""
     buf = io.StringIO()
-    csv.writer(buf, delimiter=delim, lineterminator="\n").writerow(cells)
-    return buf.getvalue()[:-1]
+    csv.writer(buf, delimiter=delim, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2]
 
 
 def write_expression(path, expr, fmt="csv"):
@@ -159,7 +160,7 @@ def write_expression(path, expr, fmt="csv"):
     through ``csv.writer``; a value's repr never needs quoting, so values are
     joined directly, which is faster on wide tables."""
     delim = {"csv": ",", "tsv": "\t"}[fmt]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_cells(["sample", *expr.gene_names], delim) + "\n")
         for sid, row in zip(expr.sample_ids, expr.values):
             fh.write(_csv_cells([sid], delim) + delim

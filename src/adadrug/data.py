@@ -12,7 +12,10 @@ File formats:
 Expression, labels and (in ``evaluate``) scores files are sample tables that
 parse through ``read_table``: a header, then one row per sample with a unique
 id and finite numbers (0/1 in a ``label`` column); blank lines are skipped and
-errors name the line. Each loader checks only its header.
+errors name the line. Each loader checks only its header. A row's value cells
+are parsed in one ``float`` pass; only a row that pass refuses goes cell by
+cell through ``_parse_cell``, which gives the same values and names the bad
+cell. Text inputs are read as UTF-8, with or without a byte-order mark.
 """
 
 import csv
@@ -166,8 +169,14 @@ def read_table(path, delim, check_header, what):
     ``ParseError`` or returns each value column's name for messages; a column
     named ``label`` must hold 0 or 1. ``what`` names the rows in the message
     for a table without any. See the module docstring for the row rules.
+
+    Each row's value cells become one float64 array through ``float``; a row
+    where ``float`` raises or that holds a non-finite value is parsed again
+    by ``_parse_cell``, the error path, which raises the row's first
+    ``ParseError``. Wherever ``float(cell)`` succeeds it equals
+    ``float(cell.strip())``, so both paths give the same bits.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delim)
         header = next(reader, None)
         columns = check_header(header)
@@ -185,7 +194,16 @@ def read_table(path, delim, check_header, what):
                 raise ParseError(f"line {line}: missing or duplicate sample id {sid!r}")
             seen.add(sid)
             ids.append(sid)
-            row = list(map(_parse_cell, rec[1:], repeat(line), columns))
+            cells = rec[1:]
+            try:
+                row = np.array(list(map(float, cells)))
+                parsed = np.isfinite(row).all()
+            except ValueError:
+                parsed = False
+            if not parsed:
+                # raises the cell's ParseError, or keeps a value float()
+                # refused only for padding that str.strip() removes
+                row = np.array(list(map(_parse_cell, cells, repeat(line), columns)))
             for j in label_cols:
                 if row[j - 1] not in (0.0, 1.0):
                     raise ParseError(f"line {line}: label must be 0 or 1, got {rec[j]!r}")
@@ -249,7 +267,7 @@ def labels_for(expr, label_ids, label_values, kind):
 def load_gene_list(path):
     """One gene name per line; blank lines are skipped, a repeat is refused."""
     genes = {}  # insertion-ordered, with O(1) lookups
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
             gene = line.strip()
             if gene in genes:
@@ -264,7 +282,7 @@ def load_gene_list(path):
 def load_gene_sets(path):
     """One set per line: name TAB comma-separated genes."""
     sets = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -177,7 +177,7 @@ def predict_target(bundle, target, sources=None, ref_batch=128, seed=0,
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, sample_ids, scores, labels=None):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         if labels is None:
             w.writerow(["sample_id", "score"])
@@ -205,7 +205,7 @@ def read_scores_csv(path):
 
 
 def write_embeddings_csv(path, sample_ids, h):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["sample_id"] + [f"e{i}" for i in range(h.shape[1])])
         for sid, row in zip(sample_ids, h):

@@ -1,5 +1,7 @@
+import csv
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,41 @@ def unfused_dense(x, w, b, act):
     if act == "sigmoid":
         return ad.sigmoid(a)
     return a
+
+
+def per_cell_read_table(path, delim, check_header, what):
+    """``data.read_table`` with every value cell parsed by ``data._parse_cell``,
+    as it was before rows were parsed in one ``float`` pass; the reference
+    its values and ``ParseError`` messages are compared against."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delim)
+        header = next(reader, None)
+        columns = check_header(header)
+        label_cols = [j for j, name in enumerate(columns, start=1) if name == "label"]
+        n_cells = len(columns) + 1
+        ids, rows, seen = [], [], set()
+        for rec in reader:
+            if not rec:
+                continue
+            line = reader.line_num
+            if len(rec) != n_cells:
+                raise dat.ParseError(
+                    f"line {line}: expected {n_cells} cells, got {len(rec)}")
+            sid = rec[0].strip()
+            if sid == "" or sid in seen:
+                raise dat.ParseError(
+                    f"line {line}: missing or duplicate sample id {sid!r}")
+            seen.add(sid)
+            ids.append(sid)
+            row = list(map(dat._parse_cell, rec[1:], repeat(line), columns))
+            for j in label_cols:
+                if row[j - 1] not in (0.0, 1.0):
+                    raise dat.ParseError(
+                        f"line {line}: label must be 0 or 1, got {rec[j]!r}")
+            rows.append(row)
+    if not ids:
+        raise dat.ParseError(f"line 2: no {what} rows")
+    return header, ids, np.array(rows, dtype=np.float64)
 
 
 def write_v1_checkpoint(path, model, cfg, step):

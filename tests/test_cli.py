@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,14 +520,14 @@ def test_prep_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
 @pytest.mark.parametrize("fmt,delim", [("csv", ","), ("tsv", "\t")])
 def test_prep_output_reloads_names_holding_delimiters_quotes_and_newlines(
         tmp_path, fmt, delim):
-    ids = ["a,1", 'b"2', "c\td", "e\nf", "plain"]
-    genes = ["g,0", 'h"1', "x\ty", "p\nq", "g4"]
-    values = np.random.default_rng(5).normal(size=(5, 5)) * 10.0 ** np.arange(-3, 2)
+    ids = ["a,1", 'b"2', "c\td", "e\nf", "x\ry", "plain"]
+    genes = ["g,0", 'h"1', "x\ty", "p\nq", "g\r2", "g4"]
+    values = np.random.default_rng(5).normal(size=(6, 6)) * 10.0 ** np.arange(-3, 3)
     values[0, :3] = [-0.0, 1e-300, -1.7976931348623157e308]
     paths = [tmp_path / f"{name}.{fmt}" for name in ("source", "target")]
     for path in paths:
         with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, delimiter=delim, lineterminator="\n")
+            out = csv.writer(fh, delimiter=delim, lineterminator="\r\n")
             out.writerow(["sample", *genes])
             out.writerows([sid, *map(repr, row.tolist())] for sid, row in zip(ids, values))
     prep = tmp_path / "prep"
@@ -533,6 +537,26 @@ def test_prep_output_reloads_names_holding_delimiters_quotes_and_newlines(
         back = dat.load_expression(prep / name, fmt)
         assert back.sample_ids == ids and back.gene_names == genes
         assert back.values.tobytes() == values.tobytes()
+
+
+def test_prep_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
+    ids, genes = ["\u00e9chantillon", "s2", "s3"], ["g\u00e8ne", "g2", "\u03b1"]
+    text = "sample," + ",".join(genes) + "\n" + "".join(
+        f"{sid},{i}.5,{i + 1},{i * 2}\n" for i, sid in enumerate(ids))
+    paths = [tmp_path / f"{name}.csv" for name in ("source", "target")]
+    for path in paths:
+        path.write_bytes(text.encode("utf-8-sig"))
+    prep = tmp_path / "prep"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "adadrug.cli", "prep", "--sources", str(paths[0]),
+         "--target", str(paths[1]), "--out", str(prep)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    back = dat.load_expression(prep / "target.csv")
+    assert back.sample_ids == ids and back.gene_names == genes
+    assert (prep / "target.csv").read_bytes().startswith("sample,g\u00e8ne".encode())
 
 
 @pytest.mark.parametrize("given,missing", [("--deg-a", "--deg-b"),

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from adadrug import cli
 from adadrug import data as dat
 from adadrug import evaluate as ev
 
-from conftest import make_domain
+from conftest import make_domain, per_cell_read_table
 from oracles import point_to_segment_distance
 
 
@@ -183,6 +186,102 @@ def test_any_text_parses_or_is_parse_error(tmp_path_factory, kind, data):
         load(path)
     except dat.ParseError:
         pass
+
+
+# padding that float() and str.strip() both remove, or (\x1c-\x1f) that only
+# str.strip() removes; cell forms float() reads or refuses in ways easy to miss
+_PAD = st.text(st.sampled_from(" \x1c\x1d\x1e\x1f\xa0\u3000"), max_size=2)
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.sampled_from(["1_0", "\uff11\uff12.\uff15", "-0.0", "1e-320", "7"]))
+_LABEL = st.sampled_from(["0", "1", "-0.0", "1.0", "1e0", "\uff10", "\uff11", "0.5", "2"])
+_REFUSED = st.sampled_from(["nan", "inf", "-inf", "", "x", "1__0", "0x1"])
+
+
+def _cell(accepted):
+    # one cell in eight is a form _parse_cell refuses, so most rows parse
+    core = st.integers(0, 7).flatmap(lambda k: _REFUSED if k == 0 else accepted)
+    return st.tuples(_PAD, core, _PAD).map("".join)
+
+
+# read_table's header check, a header and one cell strategy per value column
+TABLES = {
+    "expression": (dat._expression_header, "sample,g1,g2,g3", [_NUMBER] * 3),
+    "labels": (dat._labels_header, "sample_id,label", [_LABEL]),
+    "scores": (ev._scores_header, "sample_id,score,label", [_NUMBER, _LABEL]),
+}
+
+
+def _row(i, cells):
+    """Row ``i``: a fresh id, or now and then an empty or repeated one; the
+    value cells, now and then one short or one long."""
+    ids = st.integers(0, 19).map(lambda k: {0: "", 1: "s0"}.get(k, f"s{i}"))
+    values = st.tuples(*map(_cell, cells))
+    values = st.tuples(values, st.integers(0, 19)).map(
+        lambda v: {0: v[0][:-1], 1: (*v[0], "0")}.get(v[1], v[0]))
+    return st.tuples(ids, values).map(lambda r: ",".join([r[0], *r[1]]))
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_table_matches_the_per_cell_reader(tmp_path_factory, table, data):
+    check, header, cells = TABLES[table]
+    n = data.draw(st.integers(0, 5), label="rows")
+    rows = [data.draw(_row(i, cells) | st.just(""), label=f"row {i}")
+            for i in range(n)]
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+    def outcome(read):
+        try:
+            head, ids, values = read(path, ",", check, table)
+        except dat.ParseError as err:
+            return str(err)
+        return head, ids, values.shape, values.tobytes()
+
+    assert outcome(dat.read_table) == outcome(per_cell_read_table)
+
+
+def _loaded(obj):
+    """A loader's result with arrays as bytes, so results compare with ==."""
+    if isinstance(obj, dat.ExpressionMatrix):
+        return obj.sample_ids, obj.gene_names, obj.values.tobytes()
+    if isinstance(obj, tuple):
+        return tuple(map(_loaded, obj))
+    if isinstance(obj, np.ndarray):
+        return obj.tobytes()
+    return obj
+
+
+@pytest.mark.parametrize("load,text", [
+    (dat.load_expression, "sample,g\u00e8ne,g2\na,1,2\n"),
+    (dat.load_labels, "sample_id,label\na,1\n"),
+    (dat.load_gene_list, "g\u00e8ne\ng2\n"),
+    (dat.load_gene_sets, "set\tg\u00e8ne,g2\n"),
+    (ev.read_scores_csv, "sample_id,score\na,0.5\n"),
+], ids=["expression", "labels", "gene_list", "gene_sets", "scores"])
+def test_a_byte_order_mark_loads_as_the_same_file_without_one(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert _loaded(load(marked)) == _loaded(load(plain))
+
+
+def test_load_expression_of_a_wide_table_peaks_under_12_mb(tmp_path):
+    # the files_wide shape: rows kept as float64 arrays peak near 7 MB, rows
+    # kept as lists of Python floats near 18 MB
+    values = np.random.default_rng(0).lognormal(size=(220, 2000))
+    path = tmp_path / "wide.csv"
+    cli.write_expression(path, dat.ExpressionMatrix(
+        [f"s{i}" for i in range(220)], [f"g{j}" for j in range(2000)], values))
+    tracemalloc.start()
+    try:
+        loaded = dat.load_expression(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == values.tobytes()
+    assert peak < 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
