@@ -50,11 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
-_PATH_DEFAULTS = {
-    "gene_list": None,
-    "file_format": "csv",
-}
-
 
 def validate_config(doc):
     """Validate a raw JSON document into a fully-defaulted config dict.
@@ -64,8 +59,8 @@ def validate_config(doc):
     if not isinstance(doc, dict):
         raise ConfigError("/: config must be a JSON object")
     known = (
-        {"format_version", "sources", "target_expression", "output_dir"}
-        | set(_PATH_DEFAULTS)
+        {"format_version", "sources", "target_expression", "output_dir",
+         "gene_list", "file_format"}
         | set(_TRAIN_FIELDS)
     )
     for key in doc:
@@ -99,13 +94,14 @@ def validate_config(doc):
         cfg["sources"].append({"expression": entry["expression"],
                                "labels": entry["labels"]})
 
-    for key, default in _PATH_DEFAULTS.items():
-        v = doc.get(key, default)
-        if key == "file_format" and v not in ("csv", "tsv"):
-            raise ConfigError(f"/{key}: must be 'csv' or 'tsv'")
-        if key == "gene_list" and v is not None and not isinstance(v, str):
-            raise ConfigError(f"/{key}: must be a string or null")
-        cfg[key] = v
+    gene_list = doc.get("gene_list")
+    if gene_list is not None and not isinstance(gene_list, str):
+        raise ConfigError("/gene_list: must be a string or null")
+    file_format = doc.get("file_format", "csv")
+    if not isinstance(file_format, str) or file_format not in dat.DELIMS:
+        formats = " or ".join(map(repr, dat.DELIMS))
+        raise ConfigError(f"/file_format: must be {formats}")
+    cfg.update(gene_list=gene_list, file_format=file_format)
 
     try:
         train_cfg = TrainConfig(**{k: doc[k] for k in _TRAIN_FIELDS if k in doc})
@@ -117,16 +113,23 @@ def validate_config(doc):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with dat.open_text(path) as fh:
             doc = json.load(fh)
+    except dat.ParseError as e:
+        raise ConfigError(f"/: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"/: not valid JSON ({e})") from None
     return validate_config(doc)
 
 
+def _set_flags(**flags):
+    """The flags given on the command line: those not left at ``None``."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def train_config_from(cfg, **overrides):
     kwargs = {k: cfg[k] for k in _TRAIN_FIELDS}
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    kwargs.update(_set_flags(**overrides))
     return TrainConfig(**kwargs)
 
 
@@ -159,7 +162,7 @@ def write_expression(path, expr, fmt="csv"):
     """The table ``data.load_expression`` reads back. Ids and gene names go
     through ``csv.writer``; a value's repr never needs quoting, so values are
     joined directly, which is faster on wide tables."""
-    delim = {"csv": ",", "tsv": "\t"}[fmt]
+    delim = dat.DELIMS[fmt]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_cells(["sample", *expr.gene_names], delim) + "\n")
         for sid, row in zip(expr.sample_ids, expr.values):
@@ -389,7 +392,7 @@ def cmd_ablate(args):
 def cmd_synth_bench(args):
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    synth_cfg = sy.SynthConfig(
+    synth_cfg = sy.SynthConfig(**_set_flags(
         n_sources=args.k,
         n_per_domain=args.n_per_domain,
         n_target=args.n_target,
@@ -399,15 +402,13 @@ def cmd_synth_bench(args):
         noise=args.noise,
         pos_rate=args.pos_rate,
         seed=args.data_seed,
-    )
-    train_cfg = sy.bench_train_config(
-        **{k: v for k, v in {
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "latent_dim": args.latent_dim,
-        }.items() if v is not None}
-    )
+    ))
+    train_cfg = sy.bench_train_config(**_set_flags(
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        learning_rate=args.learning_rate,
+        latent_dim=args.latent_dim,
+    ))
     rows = sy.run_benchmark(synth_cfg, variants, seeds, train_cfg=train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,7 +441,7 @@ def build_parser():
     p.add_argument("--sources", nargs="+", required=True, metavar="EXPR")
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "tsv"), default="csv")
+    p.add_argument("--format", choices=tuple(dat.DELIMS), default="csv")
     p.add_argument("--gene-list", default=None)
     p.add_argument("--hvg", type=int, default=None,
                    help="select top-N highly variable genes from the target")
@@ -495,15 +496,16 @@ def build_parser():
     p.add_argument("--seeds", default=None, help="comma-separated training seeds")
     p.add_argument("--variants", default="full,baseline,no_mda,no_ind,no_awg")
     p.add_argument("--out", default="synth_bench")
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--n-per-domain", type=int, default=400)
-    p.add_argument("--n-target", type=int, default=400)
-    p.add_argument("--genes", type=int, default=60)
-    p.add_argument("--signal-dim", type=int, default=8)
-    p.add_argument("--shift", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--pos-rate", type=float, default=0.35)
+    # data flags left unset keep SynthConfig's defaults
+    p.add_argument("--data-seed", type=int, default=None)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n-per-domain", type=int, default=None)
+    p.add_argument("--n-target", type=int, default=None)
+    p.add_argument("--genes", type=int, default=None)
+    p.add_argument("--signal-dim", type=int, default=None)
+    p.add_argument("--shift", type=float, default=None)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--pos-rate", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)

@@ -15,11 +15,13 @@ id and finite numbers (0/1 in a ``label`` column); blank lines are skipped and
 errors name the line. Each loader checks only its header. A row's value cells
 are parsed in one ``float`` pass; only a row that pass refuses goes cell by
 cell through ``_parse_cell``, which gives the same values and names the bad
-cell. Text inputs are read as UTF-8, with or without a byte-order mark.
+cell. Text inputs are read through ``open_text``: UTF-8, with or without a
+byte-order mark; a file that is not UTF-8 raises ``ParseError`` naming it.
 """
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -30,7 +32,8 @@ from . import kernels
 
 
 class ParseError(ValueError):
-    """Malformed input file; message carries the 1-based line number."""
+    """Malformed input file; message carries the 1-based line number, or the
+    path of a file that is not UTF-8 text."""
 
 
 @dataclass
@@ -146,7 +149,19 @@ class TupleBatch:
 # file loading
 # ---------------------------------------------------------------------------
 
-_DELIMS = {"csv": ",", "tsv": "\t"}
+DELIMS = {"csv": ",", "tsv": "\t"}  # every table file format, by name
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """Open a text input as UTF-8, skipping a byte-order mark. Bytes that do
+    not decode raise ``ParseError`` naming the file (the decoder's offset is
+    into its read buffer, not the file, so it is not reported)."""
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text; save it as UTF-8") from None
 
 
 def _parse_cell(text, line_num, what):
@@ -176,7 +191,7 @@ def read_table(path, delim, check_header, what):
     ``ParseError``. Wherever ``float(cell)`` succeeds it equals
     ``float(cell.strip())``, so both paths give the same bits.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         header = next(reader, None)
         columns = check_header(header)
@@ -232,9 +247,9 @@ def _expression_header(header):
 
 def load_expression(path, fmt="csv"):
     """Parse an expression matrix file; see the module docstring for layout."""
-    if fmt not in _DELIMS:
-        raise ValueError(f"format must be one of {sorted(_DELIMS)}, got {fmt!r}")
-    header, ids, values = read_table(path, _DELIMS[fmt], _expression_header, "sample")
+    if fmt not in DELIMS:
+        raise ValueError(f"format must be one of {sorted(DELIMS)}, got {fmt!r}")
+    header, ids, values = read_table(path, DELIMS[fmt], _expression_header, "sample")
     return ExpressionMatrix(ids, [g.strip() for g in header[1:]], values)
 
 
@@ -267,7 +282,7 @@ def labels_for(expr, label_ids, label_values, kind):
 def load_gene_list(path):
     """One gene name per line; blank lines are skipped, a repeat is refused."""
     genes = {}  # insertion-ordered, with O(1) lookups
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for i, line in enumerate(fh, start=1):
             gene = line.strip()
             if gene in genes:
@@ -282,7 +297,7 @@ def load_gene_list(path):
 def load_gene_sets(path):
     """One set per line: name TAB comma-separated genes."""
     sets = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

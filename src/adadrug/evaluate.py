@@ -1,4 +1,5 @@
-"""Target-domain inference, ranking metrics, and plot-ready exports."""
+"""Target-domain inference (``embed_target``, ``predict_target``), ranking
+metrics, and the scores and embeddings CSV exports."""
 
 import csv
 from dataclasses import dataclass, field
@@ -106,8 +107,7 @@ def _reference_rows(n, ref_batch, rng):
     return rng.choice(n, size=ref_batch, replace=False)
 
 
-def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
-                           chunk=None):
+def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     """Average importance vector per target row against sampled source refs.
 
     For each target embedding, weights are generated against ``ref_batch``
@@ -115,13 +115,12 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
     and averaged over all of them, mirroring the mean weight the target
     side receives during training.
 
-    Target rows are scored ``chunk`` at a time: the block's
-    chunk · K · ref_batch gap rows |h_T - h_ref| are written into one
-    reused buffer and run through the generator as one batch, so memory is
-    O(block · d), not O(n · K · ref_batch · d). By default a block holds as
-    many whole target rows as fit in ``GAP_ROW_BUDGET`` gap rows (at least
-    one), which keeps every array of a block cache-sized. The result does
-    not depend on ``chunk``.
+    Target rows are scored in blocks of as many whole rows as fit in
+    ``GAP_ROW_BUDGET`` gap rows (at least one): a block's gap rows
+    |h_T - h_ref| are written into one reused buffer and run through the
+    generator as one batch, so memory is O(block · d), not
+    O(n · K · ref_batch · d), and every array of a block stays cache-sized.
+    The result does not depend on the block size.
     """
     if ref_batch < 1:
         raise ValueError("ref_batch must be >= 1")
@@ -133,8 +132,7 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0,
     h_ref = np.vstack(h_refs)
     n, d = h_target.shape
     m = len(h_ref)
-    if chunk is None:
-        chunk = max(1, GAP_ROW_BUDGET // m)
+    chunk = max(1, GAP_ROW_BUDGET // m)
     gap_buf = np.empty((min(chunk, n), m, d))
     w_mean = np.empty_like(h_target)
     for start in range(0, n, chunk):
@@ -210,13 +208,3 @@ def write_embeddings_csv(path, sample_ids, h):
         w.writerow(["sample_id"] + [f"e{i}" for i in range(h.shape[1])])
         for sid, row in zip(sample_ids, h):
             w.writerow([sid] + [repr(float(v)) for v in row])
-
-
-def export_embeddings(bundle, expr, path, weighted=False, sources=None,
-                      ref_batch=128, seed=0):
-    """Write per-sample embeddings (h, or z when ``weighted``) as CSV."""
-    if weighted and not sources:
-        raise ValueError("weighted export needs source domains for references")
-    h = embed_target(bundle, expr, sources, ref_batch, seed, weighted)
-    write_embeddings_csv(path, expr.sample_ids, h)
-    return h

@@ -5,14 +5,14 @@ per-source-sample weight generator, the domain discriminator and the
 response predictor. A network is one layer function,
 :func:`adadrug.kernels.dense`, driven by two loops over ``MlpSpec.activations``:
 
-* ``mlp_forward`` calls it on arrays, for inference (``encode``,
-  ``predict``, ...), and
+* ``mlp_forward`` calls it on arrays, for inference (``encode``, ``predict``
+  and the generator in ``evaluate.mean_reference_weights``), and
 * ``mlp_forward_nodes`` records it as ``autodiff.dense`` nodes, for the
-  differentiable training graph.
+  training graph (``gen_weights_nodes``, ``mean_weight_nodes``).
 
-Both therefore give the same bits for the same parameters. The layer adds
-the bias and applies its activation in place on the fresh matmul result, so
-it allocates one array, not three.
+Both therefore give the same bits for the same parameters, and each job has
+one forward. The layer adds the bias and applies its activation in place on
+the fresh matmul result, so it allocates one array, not three.
 """
 
 from dataclasses import dataclass, field
@@ -197,27 +197,6 @@ def encode(bundle, x):
     return mlp_forward(bundle.specs["encoder"], bundle.params["encoder"], x)
 
 
-def decode(bundle, z):
-    """Map weighted embeddings (batch, d) back to expression space (batch, G)."""
-    z = _check_width(z, bundle.latent_dim, "decode")
-    return mlp_forward(bundle.specs["decoder"], bundle.params["decoder"], z)
-
-
-def gen_weights(bundle, h_target, h_source):
-    """Per-tuple importance vectors from the embedding gap |h_T - h_S|.
-
-    Symmetric in its two arguments by construction of the abs input.
-    """
-    h_target = _check_width(h_target, bundle.latent_dim, "gen_weights")
-    h_source = np.asarray(h_source, dtype=np.float64)
-    if h_source.shape != h_target.shape:
-        raise ad.ShapeError(
-            f"gen_weights: embedding shapes {h_target.shape} and {h_source.shape} differ"
-        )
-    gap = np.abs(h_target - h_source)
-    return mlp_forward(bundle.specs["generator"], bundle.params["generator"], gap)
-
-
 def apply_weights(h, w):
     """Elementwise modulation z = h * w."""
     h = np.asarray(h, dtype=np.float64)
@@ -225,30 +204,6 @@ def apply_weights(h, w):
     if h.shape != w.shape:
         raise ad.ShapeError(f"apply_weights: shapes {h.shape} and {w.shape} differ")
     return h * w
-
-
-def mean_target_weight(w_list):
-    """Elementwise mean of the per-source weight matrices.
-
-    Accumulates in list order so the result is bitwise identical to the
-    node-level computation used during training.
-    """
-    if len(w_list) == 0:
-        raise ValueError("mean_target_weight: need at least one weight matrix")
-    shape = np.asarray(w_list[0]).shape
-    acc = np.asarray(w_list[0], dtype=np.float64).copy()
-    for w in w_list[1:]:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != shape:
-            raise ad.ShapeError(f"mean_target_weight: shapes {shape} and {w.shape} differ")
-        acc = acc + w
-    return acc * (1.0 / len(w_list))
-
-
-def discriminate(bundle, z):
-    """Domain-origin probability in (0,1) for each weighted embedding row."""
-    z = _check_width(z, bundle.latent_dim, "discriminate")
-    return mlp_forward(bundle.specs["discriminator"], bundle.params["discriminator"], z)
 
 
 def predict(bundle, z):
@@ -279,11 +234,13 @@ def mlp_forward_nodes(spec, param_nodes, x):
 
 
 def gen_weights_nodes(bundle, param_nodes, h_target, h_source):
+    """Importance vectors from the embedding gap |h_T - h_S|; symmetric."""
     gap = ad.absval(ad.sub(h_target, h_source))
     return mlp_forward_nodes(bundle.specs["generator"], param_nodes["generator"], gap)
 
 
 def mean_weight_nodes(w_nodes):
+    """The target's weight: the K source weights summed in order, times 1/K."""
     acc = w_nodes[0]
     for w in w_nodes[1:]:
         acc = ad.add(acc, w)

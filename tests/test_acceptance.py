@@ -186,7 +186,8 @@ def test_criterion_3_orthogonality_optimization():
     h_s = [mdl.encode(bundle, d.expr.values[:batch_n]) for d in sb.bundle.sources]
 
     def residual():
-        ws = [mdl.gen_weights(bundle, h_t, h) for h in h_s]
+        ws = [mdl.mlp_forward(specs["generator"], gen, np.abs(h_t - h))
+              for h in h_s]
         vals = []
         for i in range(batch_n):
             w = np.stack([wk[i] for wk in ws])

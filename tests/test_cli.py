@@ -213,6 +213,44 @@ def test_any_json_train_value_parses_or_is_config_error(key, value):
     assert cfg[key] == value
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("file_format", "xlsx", "/file_format: must be 'csv' or 'tsv'"),
+    ("file_format", ["csv"], "/file_format: must be 'csv' or 'tsv'"),
+    ("file_format", {"csv": 1}, "/file_format: must be 'csv' or 'tsv'"),
+    ("gene_list", 3, "/gene_list: must be a string or null"),
+    ("gene_list", ["g1"], "/gene_list: must be a string or null"),
+])
+def test_bad_path_setting_is_config_error(key, value, message):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config({**MINIMAL_CONFIG, key: value})
+    assert str(err.value) == message
+
+
+def test_config_with_a_byte_order_mark_loads_as_one_without(tmp_path):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    text = json.dumps({**MINIMAL_CONFIG, "gene_list": "g\u00e8nes.txt"},
+                      ensure_ascii=False)
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert cli.load_config(marked) == cli.load_config(plain)
+
+
+@pytest.mark.parametrize("which", ["config", "expression", "labels", "gene_list"])
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, which):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g0\ng1\n")
+    config["gene_list"] = str(gene_list)
+    cfg_path.write_text(json.dumps(config) + "\n")
+    bad = {"config": cfg_path, "expression": Path(config["target_expression"]),
+           "labels": Path(config["sources"][1]["labels"]), "gene_list": gene_list}[which]
+    bad.write_bytes(bad.read_bytes().replace(b"\n", "\u00e8\n".encode("latin-1"), 1))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_format_version_required(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"sources": []}))
@@ -290,8 +328,8 @@ def test_prep_train_predict_evaluate_pipeline(tmp_path):
                   seed=cfg_train.seed)
     ev.write_scores_csv(tmp_path / "want_scores.csv", bundle.target.sample_ids,
                         ev.predict_target(model, bundle.target, **kwargs))
-    ev.export_embeddings(model, bundle.target, tmp_path / "want_emb.csv",
-                         weighted=True, **kwargs)
+    ev.write_embeddings_csv(tmp_path / "want_emb.csv", bundle.target.sample_ids,
+                            ev.embed_target(model, bundle.target, **kwargs))
     assert scores_path.read_bytes() == (tmp_path / "want_scores.csv").read_bytes()
     assert emb_path.read_bytes() == (tmp_path / "want_emb.csv").read_bytes()
 
@@ -421,6 +459,20 @@ def test_train_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "error: line 3: duplicate gene 'g3'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags,fields", [
+    ([], {}),
+    (["--genes", "12", "--shift", "0.5", "--data-seed", "4"],
+     {"n_genes": 12, "shift": 0.5, "seed": 4}),
+], ids=["no_data_flags", "three_data_flags"])
+def test_synth_bench_data_flags_override_only_synth_config_defaults(tmp_path, flags,
+                                                                    fields):
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--variants", "baseline", "--epochs", "1",
+                 "--out", str(out), *flags]) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert echo["synth"] == dataclasses.asdict(sy.SynthConfig(**fields))
 
 
 def test_synth_bench_happy_path(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,18 +254,29 @@ def _loaded(obj):
     return obj
 
 
-@pytest.mark.parametrize("load,text", [
+TEXT_LOADERS = pytest.mark.parametrize("load,text", [
     (dat.load_expression, "sample,g\u00e8ne,g2\na,1,2\n"),
-    (dat.load_labels, "sample_id,label\na,1\n"),
+    (dat.load_labels, "sample_id,label\n\u00e9a,1\n"),
     (dat.load_gene_list, "g\u00e8ne\ng2\n"),
     (dat.load_gene_sets, "set\tg\u00e8ne,g2\n"),
-    (ev.read_scores_csv, "sample_id,score\na,0.5\n"),
+    (ev.read_scores_csv, "sample_id,score\n\u00e9a,0.5\n"),
 ], ids=["expression", "labels", "gene_list", "gene_sets", "scores"])
+
+
+@TEXT_LOADERS
 def test_a_byte_order_mark_loads_as_the_same_file_without_one(tmp_path, load, text):
     plain, marked = tmp_path / "plain", tmp_path / "marked"
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(text.encode("utf-8-sig"))
     assert _loaded(load(marked)) == _loaded(load(plain))
+
+
+@TEXT_LOADERS
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, load, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(dat.ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load(path)
 
 
 def test_load_expression_of_a_wide_table_peaks_under_12_mb(tmp_path):

@@ -150,19 +150,41 @@ def test_predict_target_deterministic_and_full_reference_stable(rng):
     np.testing.assert_array_equal(a, c)
 
 
-def test_mean_reference_weights_chunking_invariant(rng):
+def test_mean_reference_weights_chunking_invariant(rng, monkeypatch):
     bundle = make_bundle(seed=4, random_biases=True)
     sources = [make_domain(rng, n=10, n_genes=bundle.n_genes)]
     from adadrug import model as mdl
 
     h = mdl.encode(bundle, rng.normal(size=(7, bundle.n_genes)))
-    w1 = ev.mean_reference_weights(bundle, h, sources, ref_batch=5, seed=0, chunk=2)
-    w2 = ev.mean_reference_weights(bundle, h, sources, ref_batch=5, seed=0, chunk=100)
-    np.testing.assert_array_equal(w1, w2)
+    got = []
+    for budget in (5, 7 * 5):  # one target row per block, then all seven in one
+        monkeypatch.setattr(ev, "GAP_ROW_BUDGET", budget)
+        got.append(ev.mean_reference_weights(bundle, h, sources, ref_batch=5, seed=0))
+    np.testing.assert_array_equal(got[0], got[1])
+
+
+def test_one_reference_row_gives_the_training_weights(rng):
+    """The mean over a single reference is that reference's weight vector:
+    the bytes ``gen_weights_nodes`` gives on the same gap in training."""
+    from adadrug import autodiff as ad
+    from adadrug import model as mdl
+
+    bundle = make_bundle(seed=6, latent=16, random_biases=True)
+    ref = dat.ExpressionMatrix(["r0"], [f"g{j}" for j in range(bundle.n_genes)],
+                               rng.normal(size=(1, bundle.n_genes)))
+    h = mdl.encode(bundle, rng.normal(size=(7, bundle.n_genes)))
+    got = ev.mean_reference_weights(bundle, h, [dat.LabeledDomain(ref, [1])],
+                                    ref_batch=1, seed=0)
+    tape = ad.Tape()
+    pn, _ = mdl.lift_params(tape, bundle)
+    h_ref = np.repeat(mdl.encode(bundle, ref.values), len(h), axis=0)
+    want = mdl.gen_weights_nodes(bundle, pn, tape.const(h), tape.const(h_ref)).value
+    assert (want > 0).any()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("ref_batch", [0, -1])
-def test_scoring_rejects_ref_batch_below_one(tmp_path, rng, ref_batch):
+def test_scoring_rejects_ref_batch_below_one(rng, ref_batch):
     from adadrug import model as mdl
 
     bundle = make_bundle(seed=4)
@@ -172,13 +194,11 @@ def test_scoring_rejects_ref_batch_below_one(tmp_path, rng, ref_batch):
     calls = [
         lambda: ev.mean_reference_weights(bundle, h, sources, ref_batch=ref_batch),
         lambda: ev.predict_target(bundle, target, sources, ref_batch=ref_batch),
-        lambda: ev.export_embeddings(bundle, target, tmp_path / "e.csv", weighted=True,
-                                     sources=sources, ref_batch=ref_batch),
+        lambda: ev.embed_target(bundle, target, sources, ref_batch=ref_batch),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="ref_batch must be >= 1"):
             call()
-    assert not (tmp_path / "e.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +248,8 @@ def test_export_embeddings_roundtrip_and_identity(tmp_path, rng):
     bundle = make_bundle(seed=5, random_biases=True)
     target = _target(rng, bundle, n=6)
     path = tmp_path / "emb.csv"
-    h = ev.export_embeddings(bundle, target, path)
+    h = ev.embed_target(bundle, target)
+    ev.write_embeddings_csv(path, target.sample_ids, h)
     from adadrug import model as mdl
 
     np.testing.assert_array_equal(h, mdl.encode(bundle, target.values))
@@ -240,11 +261,8 @@ def test_export_embeddings_roundtrip_and_identity(tmp_path, rng):
     assert np.abs(parsed - h).max() < 1e-12
 
     sources = [make_domain(rng, n=8, n_genes=bundle.n_genes)]
-    z = ev.export_embeddings(bundle, target, path, weighted=True, sources=sources,
-                             ref_batch=4, seed=0)
+    z = ev.embed_target(bundle, target, sources, ref_batch=4, seed=0)
     assert not np.array_equal(z, h)
-    with pytest.raises(ValueError):
-        ev.export_embeddings(bundle, target, path, weighted=True, sources=None)
 
 
 def _paper_width_scoring_case(n_target):
@@ -274,11 +292,11 @@ def test_mean_reference_weights_memory_is_per_block():
     assert peak < 16 * 2**20
 
 
-def test_mean_reference_weights_default_blocks_equal_one_block():
+def test_mean_reference_weights_default_blocks_equal_one_block(monkeypatch):
     bundle, h, sources = _paper_width_scoring_case(37)
     m = 3 * 128
     assert 37 % max(1, ev.GAP_ROW_BUDGET // m) != 0
     blocked = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0)
-    whole = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0,
-                                      chunk=37)
+    monkeypatch.setattr(ev, "GAP_ROW_BUDGET", 37 * m)
+    whole = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0)
     assert blocked.tobytes() == whole.tobytes()

@@ -19,6 +19,20 @@ def one_layer_bundle():
     return mdl.init_params(specs, 0)
 
 
+def node_weights(bundle, h_target, h_source):
+    """``gen_weights_nodes`` on data leaves; returns the weight array."""
+    tape = ad.Tape()
+    pn, _ = mdl.lift_params(tape, bundle)
+    return mdl.gen_weights_nodes(bundle, pn, tape.const(h_target),
+                                 tape.const(h_source)).value
+
+
+def node_mean(ws):
+    """``mean_weight_nodes`` over data leaves; returns the mean array."""
+    tape = ad.Tape()
+    return mdl.mean_weight_nodes([tape.const(w) for w in ws]).value
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         mdl.MlpSpec((5,))
@@ -126,20 +140,24 @@ def test_decode_hand_case():
     bundle = one_layer_bundle()
     bundle.params["decoder"][0][:] = [[2.0, -1.0]]
     bundle.params["decoder"][1][:] = [[0.5, 0.5]]
-    np.testing.assert_array_equal(mdl.decode(bundle, [[3.0]]), [[6.5, -2.5]])
+
+    def decode(z):
+        return mdl.mlp_forward(bundle.specs["decoder"], bundle.params["decoder"], z)
+
+    np.testing.assert_array_equal(decode(np.array([[3.0]])), [[6.5, -2.5]])
     for arr in bundle.params["decoder"]:
         arr[:] = 0.0
-    np.testing.assert_array_equal(mdl.decode(bundle, [[3.0]]), [[0.0, 0.0]])
+    np.testing.assert_array_equal(decode(np.array([[3.0]])), [[0.0, 0.0]])
 
 
 def test_gen_weights_zero_gap_depends_only_on_biases():
     bundle = make_bundle(seed=2)
     h = np.random.default_rng(1).normal(size=(3, bundle.latent_dim))
-    w = mdl.gen_weights(bundle, h, h)
+    w = node_weights(bundle, h, h)
     # zero input through zero biases -> relu stack outputs zero
     np.testing.assert_array_equal(w, np.zeros_like(h))
     bundle.params["generator"][-1][:] = 0.25
-    w2 = mdl.gen_weights(bundle, h, h)
+    w2 = node_weights(bundle, h, h)
     assert (w2 == 0.25).all()
 
 
@@ -148,7 +166,7 @@ def test_gen_weights_symmetric_under_argument_swap(rng):
     h_t = rng.normal(size=(5, bundle.latent_dim))
     h_s = rng.normal(size=(5, bundle.latent_dim))
     np.testing.assert_array_equal(
-        mdl.gen_weights(bundle, h_t, h_s), mdl.gen_weights(bundle, h_s, h_t)
+        node_weights(bundle, h_t, h_s), node_weights(bundle, h_s, h_t)
     )
 
 
@@ -168,7 +186,7 @@ def test_gen_weights_hand_two_layer_case():
     gen[3][:] = [[0.25, -0.5]]             # out b
     # input gap [1, 0]: hidden pre = [1, -1] + [0, 1] = [1, 0] -> relu [1, 0]
     # out pre = [1*1+0*1, 1*0+0*-1] + [0.25, -0.5] = [1.25, -0.5] -> relu
-    w = mdl.gen_weights(bundle, [[1.0, 0.0]], [[0.0, 0.0]])
+    w = node_weights(bundle, np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))
     np.testing.assert_array_equal(w, [[1.25, 0.0]])
 
 
@@ -185,24 +203,24 @@ def test_apply_weights_cases():
 
 def test_mean_target_weight_cases(rng):
     np.testing.assert_array_equal(
-        mdl.mean_target_weight([np.array([[1.0, 3.0]]), np.array([[3.0, 1.0]])]),
+        node_mean([np.array([[1.0, 3.0]]), np.array([[3.0, 1.0]])]),
         [[2.0, 2.0]],
     )
     single = rng.normal(size=(4, 3))
-    np.testing.assert_array_equal(mdl.mean_target_weight([single]), single)
+    np.testing.assert_array_equal(node_mean([single]), single)
     ws = [rng.normal(size=(4, 3)) for _ in range(3)]
-    got = mdl.mean_target_weight(ws)
+    got = node_mean(ws)
     for i in range(4):
         for j in range(3):
             expect = (ws[0][i, j] + ws[1][i, j] + ws[2][i, j]) * (1.0 / 3.0)
             assert got[i, j] == expect
-    with pytest.raises(ValueError):
-        mdl.mean_target_weight([])
 
 
 @pytest.mark.parametrize("head", ["discriminator", "predictor"])
 def test_probability_heads(head, rng):
-    fwd = mdl.discriminate if head == "discriminator" else mdl.predict
+    def fwd(bundle, z):
+        return mdl.mlp_forward(bundle.specs[head], bundle.params[head], z)
+
     bundle = make_bundle(seed=8)
     for arr in bundle.params[head]:
         arr[:] = 0.0
@@ -239,15 +257,10 @@ def test_node_and_array_forward_are_bitwise_equal(rng):
     np.testing.assert_array_equal(h_node.value, h_arr)
 
     h_s = rng.normal(size=(5, bundle.latent_dim))
-    w_arr = mdl.gen_weights(bundle, h_arr, h_s)
+    w_arr = mdl.mlp_forward(bundle.specs["generator"], bundle.params["generator"],
+                            np.abs(h_arr - h_s))
     w_node = mdl.gen_weights_nodes(bundle, pn, tape.leaf(h_arr), tape.leaf(h_s))
     np.testing.assert_array_equal(w_node.value, w_arr)
-
-    mean_arr = mdl.mean_target_weight([h_arr, w_arr, h_s])
-    mean_node = mdl.mean_weight_nodes(
-        [tape.leaf(h_arr), tape.leaf(w_arr), tape.leaf(h_s)]
-    )
-    np.testing.assert_array_equal(mean_node.value, mean_arr)
 
 
 def test_identical_embeddings_and_weights_make_target_match_source(rng):
@@ -255,9 +268,9 @@ def test_identical_embeddings_and_weights_make_target_match_source(rng):
     # weight, so the weighted target embedding equals the weighted source one
     bundle = make_bundle(seed=13)
     h = rng.normal(size=(4, bundle.latent_dim))
-    w = [mdl.gen_weights(bundle, h, h) for _ in range(3)]
+    w = [node_weights(bundle, h, h) for _ in range(3)]
     z_sources = [mdl.apply_weights(h, wk) for wk in w]
-    z_target = mdl.apply_weights(h, mdl.mean_target_weight(w))
+    z_target = mdl.apply_weights(h, node_mean(w))
     for z in z_sources:
         np.testing.assert_allclose(z_target, z, rtol=1e-12)
 

@@ -598,19 +598,25 @@ def _discriminator_accuracy(model, cfg, held):
     batch = dat.assemble_batches(held, 64, seed=123)[0]
     h_s = [mdl.encode(model, x) for x in batch.x_sources]
     h_t = mdl.encode(model, batch.x_target)
+
+    def forward(comp, x):
+        return mdl.mlp_forward(model.specs[comp], model.params[comp], x)
+
     if cfg.awg_active:
-        w_s = [mdl.gen_weights(model, h_t, h) for h in h_s]
+        w_s = [forward("generator", np.abs(h_t - h)) for h in h_s]
         z_s = [mdl.apply_weights(h, w) for h, w in zip(h_s, w_s)]
-        z_t = mdl.apply_weights(h_t, mdl.mean_target_weight(w_s))
+        tape = ad.Tape()  # the target's mean weight, as training forms it
+        w_t = mdl.mean_weight_nodes([tape.const(w) for w in w_s]).value
+        z_t = mdl.apply_weights(h_t, w_t)
     else:
         z_s, z_t = h_s, h_t
     per_domain = z_t.shape[0] // len(z_s)
     preds, labels = [], []
     for z in z_s:
-        p = mdl.discriminate(model, z[:per_domain]).ravel()
+        p = forward("discriminator", z[:per_domain]).ravel()
         preds.append(p)
         labels.append(np.ones(p.size))
-    preds.append(mdl.discriminate(model, z_t).ravel())
+    preds.append(forward("discriminator", z_t).ravel())
     labels.append(np.zeros(z_t.shape[0]))
     preds = np.concatenate(preds)
     labels = np.concatenate(labels)
