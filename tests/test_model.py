@@ -219,6 +219,8 @@ def test_mean_target_weight_cases(rng):
 @pytest.mark.parametrize("head", ["discriminator", "predictor"])
 def test_probability_heads(head, rng):
     def fwd(bundle, z):
+        if head == "predictor":
+            return mdl.predict(bundle, z)
         return mdl.mlp_forward(bundle.specs[head], bundle.params[head], z)
 
     bundle = make_bundle(seed=8)
