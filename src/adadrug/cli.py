@@ -420,8 +420,9 @@ def cmd_synth_bench(args):
     }
     write_json(out / "effective_config.json", echo)
     sy.write_rows_csv(out / "report.csv", rows)
-    write_json(out / "summary.json", sy.summarize(rows))
-    for variant, stats in sy.summarize(rows).items():
+    summary = sy.summarize(rows)
+    write_json(out / "summary.json", summary)
+    for variant, stats in summary.items():
         print(
             f"{variant}: auroc {stats['auroc_mean']:.3f} +- {stats['auroc_sd']:.3f}  "
             f"aupr {stats['aupr_mean']:.3f} +- {stats['aupr_sd']:.3f}  (n={stats['n']})"
@@ -442,10 +443,12 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=tuple(dat.DELIMS), default="csv")
-    p.add_argument("--gene-list", default=None)
-    p.add_argument("--hvg", type=int, default=None,
-                   help="select top-N highly variable genes from the target")
-    p.add_argument("--deg-a", default=None, help="expression file of group A")
+    # one gene selection per run: a second one would be silently ignored
+    selection = p.add_mutually_exclusive_group()
+    selection.add_argument("--gene-list", default=None)
+    selection.add_argument("--hvg", type=int, default=None,
+                           help="select top-N highly variable genes from the target")
+    selection.add_argument("--deg-a", default=None, help="expression file of group A")
     p.add_argument("--deg-b", default=None, help="expression file of group B")
     p.add_argument("--lfc-min", type=float, default=2.0)
     p.add_argument("--p-max", type=float, default=0.05)

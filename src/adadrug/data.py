@@ -535,23 +535,31 @@ def _index_stream(n, n_draws, rng):
     return np.concatenate(chunks)[:n_draws]
 
 
-def assemble_batches(bundle, batch_size, seed=0, epoch=0):
-    """One epoch of tuple batches.
+def _domain_sizes(bundle):
+    return [d.expr.n_samples for d in bundle.sources] + [bundle.target.n_samples]
 
-    Epoch length is ceil(largest domain size / B); every domain (sources and
-    target) is shuffled independently and cycled through repeated shuffles
-    when exhausted, and tuple i pairs the i-th draw of each stream. Fully
-    deterministic given (seed, epoch).
-    """
+
+def epoch_length(bundle, batch_size):
+    """Tuple batches in one epoch: ceil(largest domain size / B)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    sizes = [d.expr.n_samples for d in bundle.sources] + [bundle.target.n_samples]
+    sizes = _domain_sizes(bundle)
     if min(sizes) == 0:
         raise ValueError("all domains must be non-empty")
-    n_batches = -(-max(sizes) // batch_size)
+    return -(-max(sizes) // batch_size)
+
+
+def assemble_batches(bundle, batch_size, seed=0, epoch=0):
+    """One epoch of tuple batches, ``epoch_length`` of them.
+
+    Every domain (sources and target) is shuffled independently and cycled
+    through repeated shuffles when exhausted, and tuple i pairs the i-th draw
+    of each stream. Fully deterministic given (seed, epoch).
+    """
+    n_batches = epoch_length(bundle, batch_size)
     n_draws = n_batches * batch_size
     streams = []
-    for s, size in enumerate(sizes):
+    for s, size in enumerate(_domain_sizes(bundle)):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(epoch), s)))
         streams.append(_index_stream(size, n_draws, rng))
     batches = []

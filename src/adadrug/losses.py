@@ -49,19 +49,18 @@ def _sq_err_mean(pred_node, target):
     return ad.scale(ad.sum_all(ad.ewmul(diff, diff)), 1.0 / pred_node.shape[0])
 
 
-def reco_loss(decoded_sources, x_sources, decoded_target=None, x_target=None):
+def reco_loss(decoded, xs):
     """Reconstruction error summed over domains.
 
-    Each domain contributes the batch mean of its squared row-wise
-    reconstruction error; the target term is skipped when the target is
-    excluded from training.
+    ``decoded`` and ``xs`` list the domains in the same order: the sources,
+    then the target as the last domain when it takes part in training. Each
+    domain contributes the batch mean of its squared row-wise reconstruction
+    error.
     """
-    if len(decoded_sources) != len(x_sources):
+    if len(decoded) != len(xs):
         raise ValueError("reco_loss: need one input matrix per decoded matrix")
-    pairs = list(zip(decoded_sources, x_sources))
-    if decoded_target is not None:
-        pairs.append((decoded_target, x_target))
-    return _sum((_sq_err_mean(dec, x) for dec, x in pairs), "reco_loss: no domains given")
+    return _sum((_sq_err_mean(dec, x) for dec, x in zip(decoded, xs)),
+                "reco_loss: no domains given")
 
 
 def ind_loss(w_nodes):

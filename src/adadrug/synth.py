@@ -36,8 +36,9 @@ class SynthConfig:
                   self.n_genes, self.signal_dim)
         if any(int(c) < 1 for c in counts):
             raise ValueError("all counts must be positive")
-        if self.shift < 0 or self.noise < 0:
-            raise ValueError("shift and noise must be >= 0")
+        # NaN fails both comparisons, so it is refused with infinity
+        if not all(0.0 <= v < np.inf for v in (self.shift, self.noise)):
+            raise ValueError("shift and noise must be finite and >= 0")
         if not 0.0 < self.pos_rate < 1.0:
             raise ValueError("pos_rate must be in (0, 1)")
 

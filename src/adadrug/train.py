@@ -196,53 +196,38 @@ def build_specs(n_genes, cfg):
 def train_step(bundle, batch, cfg, lam):
     """Forward + backward for one tuple batch; returns (grad, LossParts).
 
-    ``grad`` is one vector laid out like ``bundle.flat``. ``lam`` is the
-    gradient-reversal coefficient for this step.
+    The step runs over one list of domains: the K source batches, then the
+    target batch as the last domain when ``cfg.mda`` is on. The encoder,
+    decoder and discriminator are shared over the whole list; the predictor
+    sees the K sources only. ``grad`` is one vector laid out like
+    ``bundle.flat``. ``lam`` is the gradient-reversal coefficient for this
+    step.
     """
     tape = ad.Tape()
     pn, grad = mdl.lift_params(tape, bundle)
-    specs = bundle.specs
 
-    x_nodes = [tape.const(x, op="x_source") for x in batch.x_sources]
-    h_s = [mdl.mlp_forward_nodes(specs["encoder"], pn["encoder"], x) for x in x_nodes]
-    h_t = None
-    if cfg.mda:
-        xt_node = tape.const(batch.x_target, op="x_target")
-        h_t = mdl.mlp_forward_nodes(specs["encoder"], pn["encoder"], xt_node)
+    def net(name, x):
+        return mdl.mlp_forward_nodes(bundle.specs[name], pn[name], x)
 
-    w_s = None
+    k = len(batch.x_sources)
+    xs = [*batch.x_sources, batch.x_target] if cfg.mda else batch.x_sources
+    h = [net("encoder", tape.const(x)) for x in xs]
+
+    w = None
     if cfg.awg_active:
-        w_s = [mdl.gen_weights_nodes(bundle, pn, h_t, h) for h in h_s]
-        z_s = [ad.ewmul(h, w) for h, w in zip(h_s, w_s)]
-        z_t = ad.ewmul(h_t, mdl.mean_weight_nodes(w_s))
+        w = [mdl.gen_weights_nodes(bundle, pn, h[k], hs) for hs in h[:k]]
+        z = [ad.ewmul(hs, ws) for hs, ws in zip(h, w)]
+        z.append(ad.ewmul(h[k], mdl.mean_weight_nodes(w)))
     else:
-        z_s = h_s
-        z_t = h_t
+        z = h
 
-    dec = [mdl.mlp_forward_nodes(specs["decoder"], pn["decoder"], z) for z in z_s]
-    if cfg.mda:
-        dec_t = mdl.mlp_forward_nodes(specs["decoder"], pn["decoder"], z_t)
-        reco = ls.reco_loss(dec, batch.x_sources, dec_t, batch.x_target)
-    else:
-        reco = ls.reco_loss(dec, batch.x_sources)
-
-    ind = ls.ind_loss(w_s) if cfg.ind_active else None
-
+    reco = ls.reco_loss([net("decoder", zi) for zi in z], xs)
+    ind = ls.ind_loss(w) if cfg.ind_active else None
     adv = None
     if cfg.mda:
-        d_s = [
-            mdl.mlp_forward_nodes(
-                specs["discriminator"], pn["discriminator"], ad.grad_reverse(z, lam)
-            )
-            for z in z_s
-        ]
-        d_t = mdl.mlp_forward_nodes(
-            specs["discriminator"], pn["discriminator"], ad.grad_reverse(z_t, lam)
-        )
-        adv = ls.adv_loss(d_s, d_t)
-
-    p_s = [mdl.mlp_forward_nodes(specs["predictor"], pn["predictor"], z) for z in z_s]
-    cls = ls.cls_loss(p_s, batch.y_sources)
+        d = [net("discriminator", ad.grad_reverse(zi, lam)) for zi in z]
+        adv = ls.adv_loss(d[:k], d[k])
+    cls = ls.cls_loss([net("predictor", zi) for zi in z[:k]], batch.y_sources)
 
     total = ls.total_loss(reco=reco, ind=ind, adv=adv, cls=cls)
     ad.backward(tape, total)
@@ -269,9 +254,7 @@ def train(bundle, cfg):
     model = mdl.init_params(build_specs(n_genes, cfg), init_seed)
     opt = Adam([model.flat], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
 
-    sizes = [d.expr.n_samples for d in sources] + [bundle.target.n_samples]
-    steps_per_epoch = -(-max(sizes) // cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
+    total_steps = dat.epoch_length(work, cfg.batch_size) * cfg.epochs
 
     history = TrainHistory()
     step = 0

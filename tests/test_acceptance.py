@@ -101,7 +101,7 @@ def test_criterion_1_gradient_correctness(rng):
             dec = [mdl.mlp_forward_nodes(specs["decoder"], pn["decoder"], z)
                    for z in z_s]
             dec_t = mdl.mlp_forward_nodes(specs["decoder"], pn["decoder"], z_t)
-            node = ls.reco_loss(dec, batch.x_sources, dec_t, batch.x_target)
+            node = ls.reco_loss(dec + [dec_t], batch.x_sources + [batch.x_target])
         elif part == "ind":
             node = ls.ind_loss(w_s)
         elif part == "adv":
@@ -230,6 +230,7 @@ def benchmark_table():
     return sy.summarize(rows), elapsed
 
 
+@pytest.mark.slow
 def test_criterion_4_synthetic_transfer(benchmark_table):
     summary, elapsed = benchmark_table
     full = summary["full"]["auroc_mean"]
@@ -241,6 +242,7 @@ def test_criterion_4_synthetic_transfer(benchmark_table):
            f"{elapsed:.0f}s shared)")
 
 
+@pytest.mark.slow
 def test_criterion_5_ablation_ordering(benchmark_table):
     summary, elapsed = benchmark_table
     m = {v: summary[v]["auroc_mean"] for v in ("full", "no_ind", "no_awg", "no_mda")}

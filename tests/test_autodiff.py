@@ -146,6 +146,15 @@ def test_subgradient_at_the_kink_is_zero(op, expect):
     np.testing.assert_array_equal(x.grad, [expect])
 
 
+def test_clamp_passes_no_gradient_at_either_bound():
+    t = ad.Tape()
+    x = t.leaf([[-1.0, -0.5, 0.0, 0.5, 1.0]])
+    y = ad.clamp(x, -0.5, 0.5)
+    ad.backward(t, ad.sum_all(y))
+    np.testing.assert_array_equal(y.value, [[-0.5, -0.5, 0.0, 0.5, 0.5]])
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0, 0.0, 0.0]])
+
+
 def test_detached_leaf_gets_zero_gradient():
     t = ad.Tape()
     x = t.leaf([[3.0]])

@@ -475,6 +475,17 @@ def test_synth_bench_data_flags_override_only_synth_config_defaults(tmp_path, fl
     assert echo["synth"] == dataclasses.asdict(sy.SynthConfig(**fields))
 
 
+@pytest.mark.parametrize("flag,value", [("--shift", "nan"), ("--shift", "inf"),
+                                        ("--noise", "inf"), ("--noise", "nan")])
+def test_synth_bench_with_a_non_finite_shift_or_noise_exits_2(tmp_path, capsys,
+                                                              flag, value):
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--variants", "baseline", "--epochs", "1",
+                 "--out", str(out), flag, value]) == 2
+    assert "error: shift and noise must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_bench_happy_path(tmp_path):
     out = tmp_path / "bench"
     rc = main([
@@ -619,6 +630,23 @@ def test_prep_lone_deg_flag_names_the_missing_one(tmp_path, capsys, given, missi
     group = config["sources"][0]["expression"]
     assert main(_prep_args(config, out) + [given, group]) == 2
     assert f"{missing} is missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first,second", [("--gene-list", "--hvg"),
+                                           ("--hvg", "--deg-a"),
+                                           ("--deg-a", "--gene-list")])
+def test_prep_gene_selections_cannot_be_combined(tmp_path, capsys, first, second):
+    _, config, _ = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g1\ng2\n")
+    value = {"--gene-list": str(gene_list), "--hvg": "5",
+             "--deg-a": config["sources"][0]["expression"]}
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + [first, value[first],
+                                           second, value[second]]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "not allowed with argument" in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from adadrug import data as dat
 from adadrug import evaluate as ev
+from adadrug import model as mdl
 
 from conftest import make_bundle, make_domain
 from oracles import aupr_threshold_sweep, auroc_pair_count
@@ -161,6 +162,27 @@ def test_mean_reference_weights_chunking_invariant(rng, monkeypatch):
         monkeypatch.setattr(ev, "GAP_ROW_BUDGET", budget)
         got.append(ev.mean_reference_weights(bundle, h, sources, ref_batch=5, seed=0))
     np.testing.assert_array_equal(got[0], got[1])
+
+
+def test_reference_rows_are_distinct_and_the_seeded_draw(rng):
+    bundle = make_bundle(seed=5, random_biases=True)
+    sources = [make_domain(rng, n=n, n_genes=bundle.n_genes, tag=f"s{k}_")
+               for k, n in enumerate((10, 12))]
+    h = mdl.encode(bundle, rng.normal(size=(4, bundle.n_genes)))
+    replay = np.random.default_rng(11)
+    drawn = []
+    for dom in sources:
+        rows = replay.choice(dom.expr.n_samples, 9, replace=False)
+        assert len(set(rows.tolist())) == 9
+        drawn.append(dat.LabeledDomain(dat.ExpressionMatrix(
+            [dom.expr.sample_ids[i] for i in rows], dom.expr.gene_names,
+            dom.expr.values[rows]), dom.labels[rows]))
+    got = ev.mean_reference_weights(bundle, h, sources, ref_batch=9, seed=11)
+    # ref_batch >= domain size takes every row in order, with no draw
+    want = ev.mean_reference_weights(bundle, h, drawn, ref_batch=9, seed=0)
+    assert got.tobytes() == want.tobytes()
+    for seed in range(20):
+        assert len(set(ev._reference_rows(10, 9, np.random.default_rng(seed)))) == 9
 
 
 def test_one_reference_row_gives_the_training_weights(rng):

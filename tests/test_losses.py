@@ -26,7 +26,7 @@ def test_reco_perfect_reconstruction_is_zero(rng):
     t = ad.Tape()
     xs = [rng.normal(size=(4, 3)) for _ in range(2)]
     xt = rng.normal(size=(4, 3))
-    loss = ls.reco_loss(const_nodes(t, xs), xs, t.leaf(xt), xt)
+    loss = ls.reco_loss(const_nodes(t, xs) + [t.leaf(xt)], xs + [xt])
     assert scalar(loss) == 0.0
 
 
@@ -36,7 +36,7 @@ def test_reco_hand_case():
     x_s = np.array([[1.0, 0.0]])  # diff (1, 1) -> 2
     dec_t = t.leaf([[0.0, 3.0]])
     x_t = np.array([[0.0, 1.0]])  # diff (0, 2) -> 4
-    assert scalar(ls.reco_loss([dec_s], [x_s], dec_t, x_t)) == 6.0
+    assert scalar(ls.reco_loss([dec_s, dec_t], [x_s, x_t])) == 6.0
 
 
 def test_reco_duplicate_domain_doubles_source_term(rng):

@@ -115,6 +115,23 @@ def test_grl_schedule():
     assert tr.grl_coefficient(cfg, 0, 1000) == 0.3
 
 
+def test_train_feeds_grl_coefficient_each_step_and_the_run_total(rng, monkeypatch):
+    calls = []
+    coefficient = tr.grl_coefficient
+
+    def spy(cfg, step, total_steps):
+        calls.append((step, total_steps))
+        return coefficient(cfg, step, total_steps)
+
+    monkeypatch.setattr(tr, "grl_coefficient", spy)
+    # the weight sampler grows each source, so the run's length comes from
+    # the resampled domains, not the ones passed in
+    _, hist = tr.train(tiny_bundle(rng), tiny_cfg(sampler="weight"))
+    n = hist.final_step
+    assert n == len(hist.parts) > 0
+    assert calls == [(step, n) for step in range(n)]
+
+
 def test_zero_learning_rate_leaves_parameters_bitwise_unchanged(rng):
     bundle = tiny_bundle(rng)
     model, _ = tr.train(bundle, tiny_cfg(learning_rate=0.0, epochs=1))
