@@ -1,0 +1,143 @@
+"""The mutation list: one-line faults of ``src/`` that the test suite must
+catch, each with the tests that must fail on it.
+
+Each entry is (name, file under the repository root, old text, new text,
+test ids). The old text must occur exactly once in the file.
+``test_mutants.py`` patches a copy of the repository with each entry and runs
+only its test ids there; every one of them must fail. A mutant that no behaviour can tell apart from
+the program (an equivalent mutant) does not belong here.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    kills: tuple
+
+
+MUTANTS = (
+    # -- training schedule and optimizer -----------------------------------
+    Mutant(
+        "grl_warmup_longer",
+        "src/adadrug/train.py",
+        "warmup = max(1, int(0.1 * total_steps))",
+        "warmup = max(1, int(0.2 * total_steps))",
+        ("tests/test_train.py::test_grl_schedule",),
+    ),
+    Mutant(
+        "adam_kernel_bias_correction_one_step_ahead",
+        "src/adadrug/kernels.py",
+        "np.divide(m, 1.0 - b1 ** t, out=s1)",
+        "np.divide(m, 1.0 - b1 ** (t + 1), out=s1)",
+        tuple(f"tests/test_kernels.py::test_adam_step_is_bitwise_the_textbook_order[{s}]"
+              for s in ("shape0", "shape1")),
+    ),
+    Mutant(
+        "adam_step_count_one_ahead",
+        "src/adadrug/train.py",
+        "                              self.t, s1, s2)",
+        "                              self.t + 1, s1, s2)",
+        ("tests/test_train.py::test_adam_first_step_moves_each_parameter_by_lr",),
+    ),
+    Mutant(
+        "grl_total_over_one_epoch_too_many",
+        "src/adadrug/train.py",
+        "total_steps = dat.epoch_length(work, cfg.batch_size) * cfg.epochs",
+        "total_steps = dat.epoch_length(work, cfg.batch_size) * (cfg.epochs + 1)",
+        ("tests/test_train.py::"
+         "test_train_feeds_grl_coefficient_each_step_and_the_run_total",),
+    ),
+    # -- data --------------------------------------------------------------
+    Mutant(
+        "one_label_stream_for_every_source",
+        "src/adadrug/data.py",
+        "ys = [d.labels[streams[k][sl]] for k, d in enumerate(bundle.sources)]",
+        "ys = [d.labels[streams[0][sl]] for k, d in enumerate(bundle.sources)]",
+        ("tests/test_data.py::test_assemble_batches_pairs_each_row_with_its_own_label",),
+    ),
+    Mutant(
+        "read_table_finite_check_removed",
+        "src/adadrug/data.py",
+        "parsed = np.isfinite(row).all()",
+        "parsed = True",
+        ("tests/test_data.py::test_one_table_rule_gives_one_message[expression-non_finite]",
+         "tests/test_data.py::test_one_table_rule_gives_one_message[labels-non_finite]",
+         "tests/test_data.py::test_one_table_rule_gives_one_message[scores-non_finite]"),
+    ),
+    Mutant(
+        "read_table_per_cell_fallback_removed",
+        "src/adadrug/data.py",
+        "row = np.array(list(map(_parse_cell, cells, repeat(line), columns)))",
+        'raise ParseError(f"line {line}: unreadable {what} row")',
+        ("tests/test_data.py::test_one_table_rule_gives_one_message[expression-non_numeric]",
+         "tests/test_data.py::test_one_table_rule_gives_one_message[labels-empty_cell]",
+         "tests/test_data.py::test_one_table_rule_gives_one_message[scores-non_finite]"),
+    ),
+    # -- model -------------------------------------------------------------
+    Mutant(
+        "he_init_on_fan_out",
+        "src/adadrug/model.py",
+        "lim = np.sqrt(6.0 / w.shape[0])",
+        "lim = np.sqrt(6.0 / w.shape[1])",
+        ("tests/test_model.py::test_init_biases_are_exactly_zero_and_weights_bounded",),
+    ),
+    Mutant(
+        "clamp_passes_the_gradient_at_its_bounds",
+        "src/adadrug/autodiff.py",
+        "return (g * ((x.value > lo) & (x.value < hi)),)",
+        "return (g * ((x.value >= lo) & (x.value <= hi)),)",
+        ("tests/test_autodiff.py::test_clamp_passes_no_gradient_at_either_bound",),
+    ),
+    # -- checkpoints -------------------------------------------------------
+    Mutant(
+        "checkpoint_checksum_not_compared",
+        "src/adadrug/train.py",
+        'if _digest(header, body) != header["sha256"]:',
+        "if False:",
+        ("tests/test_train.py::test_checkpoint_flipped_body_bit_is_checkpoint_error",
+         "tests/test_train.py::test_checkpoint_swapped_array_entries_are_checkpoint_error"),
+    ),
+    # -- target scoring ----------------------------------------------------
+    Mutant(
+        "reference_rows_drawn_with_replacement",
+        "src/adadrug/evaluate.py",
+        "return rng.choice(n, size=ref_batch, replace=False)",
+        "return rng.choice(n, size=ref_batch, replace=True)",
+        ("tests/test_evaluate.py::test_reference_rows_are_distinct_and_the_seeded_draw",),
+    ),
+    Mutant(
+        "reference_draw_from_another_seed",
+        "src/adadrug/evaluate.py",
+        "rng = np.random.default_rng(seed)",
+        "rng = np.random.default_rng(seed + 1)",
+        ("tests/test_evaluate.py::test_reference_rows_are_distinct_and_the_seeded_draw",),
+    ),
+    Mutant(
+        "tie_group_rank_one_too_high",
+        "src/adadrug/evaluate.py",
+        "np.repeat(0.5 * (start + end - 1) + 1.0, end - start)",
+        "np.repeat(0.5 * (start + end) + 1.0, end - start)",
+        ("tests/test_evaluate.py::test_average_ranks_are_bitwise_the_tie_group_loop",
+         "tests/test_evaluate.py::test_auroc_matches_pair_count_oracle_with_ties"),
+    ),
+    Mutant(
+        "cli_scores_every_run_weighted",
+        "src/adadrug/cli.py",
+        "sources = bundle.sources if cfg_train.awg_active else None",
+        "sources = bundle.sources",
+        ("tests/test_cli.py::test_only_a_run_whose_generator_trained_is_scored_weighted",),
+    ),
+    Mutant(
+        "synth_scores_every_run_weighted",
+        "src/adadrug/synth.py",
+        "sources=bundle.sources if cfg.awg_active else None,",
+        "sources=bundle.sources,",
+        tuple(f"tests/test_synth.py::"
+              f"test_run_variant_weights_only_a_run_whose_generator_trained[{v}-False]"
+              for v in ("baseline", "no_mda", "no_awg")),
+    ),
+)

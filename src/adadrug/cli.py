@@ -204,8 +204,8 @@ def load_binary_labels(path, sample_ids):
 
 def _score_bundle(model, cfg_train, bundle, seed):
     """Target scores and the embeddings they were scored from."""
-    z = ev.embed_target(model, bundle.target, bundle.sources, cfg_train.ref_batch,
-                        seed, cfg_train.awg_active)
+    sources = bundle.sources if cfg_train.awg_active else None
+    z = ev.embed_target(model, bundle.target, sources, cfg_train.ref_batch, seed)
     return mdl.predict(model, z).ravel(), z
 
 
@@ -218,6 +218,9 @@ def cmd_prep(args):
         missing = "--deg-b" if args.deg_b is None else "--deg-a"
         raise ValueError(f"DEG selection needs both --deg-a and --deg-b; "
                          f"{missing} is missing")
+    # NaN fails both comparisons
+    if args.max_zero_frac is not None and not 0.0 <= args.max_zero_frac <= 1.0:
+        raise ValueError(f"--max-zero-frac must be in [0, 1], got {args.max_zero_frac!r}")
     fmt = args.format
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)
@@ -289,7 +292,11 @@ def cmd_train(args):
         sampler=args.sampler,
     )
     cfg.update(cfg_train.to_dict())
-    bundle = load_bundle(cfg)  # a data error exits before anything is written
+    # a data error, in the target labels too, exits before training or writing
+    bundle = load_bundle(cfg)
+    labels = None
+    if args.target_labels:
+        labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
@@ -303,9 +310,8 @@ def cmd_train(args):
         "steps": history.final_step,
         "final_loss": dataclasses.asdict(history.parts[-1]),
     }
-    if args.target_labels:
+    if labels is not None:
         scores, _ = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
-        labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
         report = ev.metrics_report(scores, labels)
         metrics.update(
             auroc=report.auroc, aupr=report.aupr,
@@ -375,11 +381,11 @@ def cmd_ablate(args):
     seeds = _parse_seeds(args.seeds)
     for seed in seeds:  # a bad seed fails here, before anything is written
         dataclasses.replace(cfg_train, seed=seed)
+    bundle = load_bundle(cfg)  # as in train, a data error exits before writing
+    labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
     out = Path(args.out or cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
-    bundle = load_bundle(cfg)
-    labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
     synth = sy.SynthBundle(bundle, labels)
     rows = [sy.run_variant(synth, v, s, cfg_train)
             for v in ABLATE_VARIANTS for s in seeds]
@@ -455,7 +461,8 @@ def build_parser():
     p.add_argument("--pathways", default=None,
                    help="gene-set file; converts matrices to pathway activities")
     p.add_argument("--max-zero-frac", type=float, default=None,
-                   help="drop genes whose zero fraction in the target exceeds this")
+                   help="drop genes whose zero fraction in the target exceeds "
+                        "this, in [0, 1]")
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train on the configured domains")
@@ -467,7 +474,8 @@ def build_parser():
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--sampler", choices=tr.SAMPLERS, default=None)
     p.add_argument("--target-labels", default=None,
-                   help="optional labels file; adds AUROC/AUPR to metrics.json")
+                   help="optional labels file, read before training; adds "
+                        "AUROC/AUPR to metrics.json")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score target samples with a checkpoint")

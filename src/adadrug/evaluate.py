@@ -1,8 +1,15 @@
 """Target-domain inference (``embed_target``, ``predict_target``), ranking
-metrics, and the scores and embeddings CSV exports."""
+metrics, and the scores and embeddings CSV exports.
+
+Scoring is weighted only when source domains are passed: each target
+embedding is then modulated by its mean importance weights against source
+references. ``cli`` (``train --target-labels``, ``predict``, ``ablate``) and
+``synth.run_variant`` (``synth-bench``) pass the sources only for a run whose
+weight generator trained, that is with ``awg`` and ``mda`` both on.
+"""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +23,6 @@ class MetricsReport:
     aupr: float
     n_pos: int
     n_neg: int
-    scores: np.ndarray = field(repr=False, default=None)
 
 
 def _check_scores_labels(scores, labels):
@@ -34,14 +40,12 @@ def _check_scores_labels(scores, labels):
 def _average_ranks(s):
     """1-based ranks with ties assigned the group-average rank."""
     order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    # each tie group spans sorted positions [start, end)
+    start = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
+    end = np.r_[start[1:], s.size]
     ranks = np.empty(s.size)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end - 1) + 1.0, end - start)
     return ranks
 
 
@@ -86,7 +90,6 @@ def metrics_report(scores, labels):
         aupr=aupr(s, y),
         n_pos=int(y.sum()),
         n_neg=int(y.size - y.sum()),
-        scores=s,
     )
 
 
@@ -146,27 +149,23 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     return w_mean
 
 
-def embed_target(bundle, target, sources=None, ref_batch=128, seed=0,
-                 weighted=True):
-    """The target embeddings the predictor scores.
+def embed_target(bundle, target, sources=None, ref_batch=128, seed=0):
+    """The embeddings the predictor scores for an ``ExpressionMatrix`` target.
 
-    When the model was trained with the weight generator active, each
-    target embedding is modulated by its mean reference weight vector;
-    otherwise (``weighted=False`` or no sources) the raw embedding is
-    returned and ``sources``/``ref_batch`` are ignored.
+    With sources, each target embedding is modulated by its mean reference
+    weight vector against them; with none (``None`` or empty), the raw
+    embedding is returned and ``ref_batch``/``seed`` are ignored.
     """
-    x = target.values if hasattr(target, "values") else np.asarray(target)
-    h = mdl.encode(bundle, x)
-    if weighted and sources:
+    h = mdl.encode(bundle, target.values)
+    if sources:
         w = mean_reference_weights(bundle, h, sources, ref_batch=ref_batch, seed=seed)
         h = mdl.apply_weights(h, w)
     return h
 
 
-def predict_target(bundle, target, sources=None, ref_batch=128, seed=0,
-                   weighted=True):
+def predict_target(bundle, target, sources=None, ref_batch=128, seed=0):
     """Score ``embed_target``'s embeddings for drug sensitivity, in (0,1)."""
-    h = embed_target(bundle, target, sources, ref_batch, seed, weighted)
+    h = embed_target(bundle, target, sources, ref_batch, seed)
     return mdl.predict(bundle, h).ravel()
 
 

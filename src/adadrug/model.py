@@ -40,7 +40,10 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ValueError("MlpSpec needs at least one layer (two widths)")
-        if any(int(w) <= 0 for w in self.widths):
+        if any(isinstance(w, bool) or not isinstance(w, (int, np.integer))
+               for w in self.widths):
+            raise ValueError(f"layer widths must be integers, got {self.widths}")
+        if any(w <= 0 for w in self.widths):
             raise ValueError(f"layer widths must be positive, got {self.widths}")
         if self.out_activation not in OUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.out_activation!r}")

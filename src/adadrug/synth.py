@@ -7,7 +7,7 @@ target labels live outside the DomainBundle, so training code cannot see
 them by construction.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,13 +32,20 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails both comparisons, so it is refused with infinity; numbers
+        # are checked before the types, so a non-finite one gets this message
+        if any(isinstance(v, (int, float)) and not 0.0 <= v < np.inf
+               for v in (self.shift, self.noise)):
+            raise ValueError("shift and noise must be finite and >= 0")
+        for f in fields(self):  # frozen: a float field stores its coerced value
+            object.__setattr__(self, f.name, tr._typed(f.name, f.type,
+                                                       getattr(self, f.name)))
         counts = (self.n_sources, self.n_per_domain, self.n_target,
                   self.n_genes, self.signal_dim)
-        if any(int(c) < 1 for c in counts):
+        if any(c < 1 for c in counts):
             raise ValueError("all counts must be positive")
-        # NaN fails both comparisons, so it is refused with infinity
-        if not all(0.0 <= v < np.inf for v in (self.shift, self.noise)):
-            raise ValueError("shift and noise must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.pos_rate < 1.0:
             raise ValueError("pos_rate must be in (0, 1)")
 
@@ -158,10 +165,9 @@ def run_variant(synth, variant, seed, train_cfg):
     scores = ev.predict_target(
         model,
         synth.bundle.target,
-        sources=bundle.sources,
+        sources=bundle.sources if cfg.awg_active else None,
         ref_batch=cfg.ref_batch,
         seed=seed,
-        weighted=cfg.awg_active,
     )
     report = ev.metrics_report(scores, synth.target_labels)
     return BenchmarkRow(variant, seed, report.auroc, report.aupr)

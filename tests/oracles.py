@@ -55,6 +55,21 @@ def auroc_pair_count(scores, labels):
     return total / (pos.size * neg.size)
 
 
+def average_ranks_loop(s):
+    """1-based ranks, each tie group at its mean rank, walked group by group
+    along a stable sort."""
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size)
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def aupr_threshold_sweep(scores, labels):
     """Exhaustive threshold sweep, recounting the confusion at each step."""
     s = np.asarray(scores, dtype=float).ravel()

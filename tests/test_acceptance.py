@@ -388,9 +388,8 @@ def test_criterion_10_gdsc_a375(tmp_path):
     cfg_train = cli.train_config_from(cfg)
     model, _ = tr.train(bundle, cfg_train)
     scores = ev.predict_target(
-        model, bundle.target, bundle.sources,
+        model, bundle.target, bundle.sources if cfg_train.awg_active else None,
         ref_batch=cfg_train.ref_batch, seed=cfg_train.seed,
-        weighted=cfg_train.awg_active,
     )
     labels = cli.load_binary_labels(GDSC_LABELS, bundle.target.sample_ids)
     value = ev.auroc(scores, labels)

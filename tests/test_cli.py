@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from adadrug import cli
 from adadrug import data as dat
+from adadrug import evaluate as ev
+from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 from adadrug.cli import main
@@ -368,6 +370,56 @@ def test_train_with_target_labels_reports_metrics(tmp_path):
     assert (tmp_path / "run" / "scores.csv").exists()
 
 
+def test_only_a_run_whose_generator_trained_is_scored_weighted(tmp_path):
+    # awg off, or mda off (no target embeddings for the generator), leaves the
+    # generator untrained: train and predict then score the raw embeddings
+    cfg_path, config, target_labels = write_synth_files(tmp_path)
+    for name, flags, weighted in (("awg_off", {"awg": False}, False),
+                                  ("mda_off", {"mda": False}, False),
+                                  ("full", {}, True)):
+        run = tmp_path / name
+        cfg_path.write_text(json.dumps(dict(config, output_dir=str(run), **flags)))
+        assert main(["train", "--config", str(cfg_path),
+                     "--target-labels", str(target_labels)]) == 0
+        assert main(["predict", "--config", str(cfg_path), "--checkpoint",
+                     str(run / "checkpoint.bin"), "--out", str(run / "pred.csv")]) == 0
+        model, _, _ = tr.load_checkpoint(run / "checkpoint.bin")
+        target = cli.load_bundle(cli.load_config(cfg_path)).target
+        raw = mdl.predict(model, mdl.encode(model, target.values)).ravel()
+        ev.write_scores_csv(run / "raw.csv", target.sample_ids, raw)
+        unweighted = (run / "pred.csv").read_bytes() == (run / "raw.csv").read_bytes()
+        assert unweighted is not weighted, name
+        _, train_scores, _ = ev.read_scores_csv(run / "scores.csv")
+        assert (train_scores.tobytes() == raw.tobytes()) is not weighted, name
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Records each ``train.train`` call and trains nothing."""
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("labels", ["missing_file", "other_ids"])
+def test_bad_target_labels_exit_2_before_training_or_writing(tmp_path, capsys,
+                                                             train_calls, command,
+                                                             labels):
+    cfg_path, _, _ = write_synth_files(tmp_path)
+    path = tmp_path / "target_labels_bad.csv"
+    if labels == "other_ids":
+        path.write_text("sample_id,label\nnot_a_target,1\n")
+    out = tmp_path / "out"
+    args = ["--output-dir", str(out)] if command == "train" else ["--out", str(out)]
+    assert main([command, "--config", str(cfg_path), "--target-labels", str(path),
+                 *args]) == 2
+    err = capsys.readouterr().err
+    assert ("no label for samples" if labels == "other_ids" else str(path)) in err
+    assert train_calls == []
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
 def test_ablate_runs_exact_variant_set(tmp_path):
     cfg_path, _, target_labels = write_synth_files(tmp_path)
     out = tmp_path / "ablation"
@@ -567,6 +619,24 @@ def test_prep_hvg_zero_is_data_error(tmp_path, capsys):
     assert main(_prep_args(config, out) + ["--hvg", "0"]) == 2
     assert "n must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf"])
+def test_prep_max_zero_frac_outside_the_unit_interval_exits_2(tmp_path, capsys, value):
+    _, config, _ = write_synth_files(tmp_path)
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + ["--max-zero-frac", value]) == 2
+    assert "error: --max-zero-frac must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_prep_max_zero_frac_takes_both_bounds(tmp_path, value):
+    # the synthetic target holds no zero, so either bound keeps every gene
+    _, config, _ = write_synth_files(tmp_path)
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + ["--max-zero-frac", value]) == 0
+    assert json.loads((out / "prep_summary.json").read_text())["n_genes"] == 8
 
 
 def test_prep_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(

@@ -589,6 +589,17 @@ def test_assemble_batches_visits_largest_domain_fully(rng):
     assert all((seen == row).all(axis=1).any() for row in src)
 
 
+def test_assemble_batches_pairs_each_row_with_its_own_label(rng):
+    # equal domain sizes, so a label drawn from another domain's stream
+    # would index without error and only the pairing can show it
+    bundle = _bundle_with_sizes(rng, [8, 8, 8], 8)
+    for batch in dat.assemble_batches(bundle, 4, seed=3):
+        for dom, x, y in zip(bundle.sources, batch.x_sources, batch.y_sources):
+            rows = [np.flatnonzero((dom.expr.values == r).all(axis=1)) for r in x]
+            assert all(len(r) == 1 for r in rows)
+            np.testing.assert_array_equal(y, dom.labels[np.concatenate(rows)])
+
+
 def test_assemble_batches_rejects_bad_batch_size(rng):
     bundle = _bundle_with_sizes(rng, [3], 3)
     with pytest.raises(ValueError):

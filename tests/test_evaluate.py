@@ -8,7 +8,7 @@ from adadrug import evaluate as ev
 from adadrug import model as mdl
 
 from conftest import make_bundle, make_domain
-from oracles import aupr_threshold_sweep, auroc_pair_count
+from oracles import aupr_threshold_sweep, auroc_pair_count, average_ranks_loop
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,18 @@ def test_auroc_monotone_transform_invariance(rng):
     base = ev.auroc(scores, labels)
     assert ev.auroc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
     assert ev.auroc(3.0 * scores + 11.0, labels) == pytest.approx(base, abs=1e-12)
+
+
+# few distinct values, signed zeros and subnormal-scale magnitudes: long tie
+# groups, and values that compare equal without the same bits
+TIE_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.5, 1.0, -3.0, 7.25])
+
+
+@given(st.lists(TIE_VALUES, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_average_ranks_are_bitwise_the_tie_group_loop(values):
+    s = np.array(values, dtype=np.float64)
+    assert ev._average_ranks(s).tobytes() == average_ranks_loop(s).tobytes()
 
 
 @given(st.integers(3, 40), st.integers(0, 10**6))
@@ -130,10 +142,9 @@ def test_predict_target_scores_in_unit_interval(rng):
 def test_predict_target_unweighted_ignores_references(rng):
     bundle = make_bundle(seed=2)
     target = _target(rng, bundle)
-    sources = [make_domain(rng, n=12, n_genes=bundle.n_genes)]
-    a = ev.predict_target(bundle, target, sources, ref_batch=4, seed=0, weighted=False)
-    b = ev.predict_target(bundle, target, None, ref_batch=99, seed=77, weighted=False)
-    c = ev.predict_target(bundle, target, sources, ref_batch=2, seed=5, weighted=False)
+    a = ev.predict_target(bundle, target, None, ref_batch=4, seed=0)
+    b = ev.predict_target(bundle, target, None, ref_batch=99, seed=77)
+    c = ev.predict_target(bundle, target, [], ref_batch=2, seed=5)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
 

@@ -42,6 +42,18 @@ def test_spec_validation():
         mdl.MlpSpec((5, 3), out_activation="tanh")
 
 
+@pytest.mark.parametrize("widths", [(5, 2.5), (5, True), (False, 3), (5, "3"),
+                                    (5, None), (np.float64(5.0), 3)])
+def test_spec_refuses_widths_that_are_not_integers(widths):
+    with pytest.raises(ValueError, match="layer widths must be integers"):
+        mdl.MlpSpec(widths)
+
+
+def test_spec_takes_numpy_integer_widths_as_ints():
+    widths = mdl.MlpSpec((np.int64(5), np.int32(3), 2)).widths
+    assert widths == (5, 3, 2) and {type(w) for w in widths} == {int}
+
+
 def test_init_same_seed_is_bitwise_identical():
     a, b = make_bundle(seed=3), make_bundle(seed=3)
     for (na, pa), (nb, pb) in zip(a.named_arrays(), b.named_arrays()):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from adadrug import evaluate as ev
+from adadrug import model as mdl
 from adadrug import synth as sy
+from adadrug import train as tr
 
 from oracles import least_squares_probe
 
@@ -21,6 +23,24 @@ def test_config_validation():
         sy.SynthConfig(pos_rate=1.5)
     with pytest.raises(ValueError):
         sy.SynthConfig(shift=-0.1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_sources", True), ("n_per_domain", 40.0), ("n_target", "40"),
+    ("n_genes", 2.5), ("signal_dim", None), ("shift", "1.0"), ("noise", False),
+    ("pos_rate", [0.3]), ("seed", 1.0),
+])
+def test_config_refuses_a_wrongly_typed_field_naming_it(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: must be "):
+        sy.SynthConfig(**{field: value})
+
+
+def test_config_refuses_a_negative_seed_and_stores_floats():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        sy.SynthConfig(seed=-1)
+    cfg = sy.SynthConfig(shift=1, noise=0)
+    assert (type(cfg.shift), type(cfg.noise)) == (float, float)
+    assert cfg == sy.SynthConfig(shift=1.0, noise=0.0)
 
 
 def test_generate_is_deterministic():
@@ -102,6 +122,37 @@ def test_run_benchmark_single_row_and_determinism():
     assert 0.0 <= rows[0].auroc <= 1.0
     again = sy.run_benchmark(_fast_cfg(), ["full"], [0], train_cfg=_fast_train())
     assert rows[0] == again[0]
+
+
+@pytest.mark.parametrize("variant,weighted", [
+    ("full", True), ("baseline", False), ("no_mda", False), ("no_awg", False),
+])
+def test_run_variant_weights_only_a_run_whose_generator_trained(monkeypatch, variant,
+                                                                weighted):
+    synth = sy.generate(_fast_cfg())
+    models, scored = [], []
+    train, report = tr.train, ev.metrics_report
+
+    def train_spy(bundle, cfg):
+        models.append(train(bundle, cfg)[0])
+        return models[-1], None
+
+    def report_spy(scores, labels):
+        scored.append(np.array(scores))
+        return report(scores, labels)
+
+    monkeypatch.setattr(tr, "train", train_spy)
+    monkeypatch.setattr(ev, "metrics_report", report_spy)
+    train_cfg = _fast_train()
+    sy.run_variant(synth, variant, 0, train_cfg)
+    (model,), (scores,) = models, scored
+    target = synth.bundle.target
+    raw = mdl.predict(model, mdl.encode(model, target.values)).ravel()
+    assert (scores.tobytes() == raw.tobytes()) is not weighted
+    if weighted:
+        want = ev.predict_target(model, target, synth.bundle.sources,
+                                 ref_batch=train_cfg.ref_batch, seed=0)
+        assert scores.tobytes() == want.tobytes()
 
 
 def test_run_benchmark_rejects_bad_variants():

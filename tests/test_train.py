@@ -205,6 +205,19 @@ def test_adam_zero_gradient_step_is_tiny():
     assert np.abs(params[0] - before[0]).max() < 1e-12
 
 
+def test_adam_first_step_moves_each_parameter_by_lr():
+    # after one step the bias-corrected moments are g and g * g, so each
+    # parameter moves by lr * g / (|g| + eps): lr against the gradient's sign
+    rng = np.random.default_rng(0)
+    grads = [rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.5, 2.0, size=s)
+             for s in ((5, 4), (1, 3))]
+    params = [rng.normal(size=g.shape) for g in grads]
+    before = [p.copy() for p in params]
+    tr.Adam(params, lr=1e-3).step(grads)
+    for p, b, g in zip(params, before, grads):
+        np.testing.assert_allclose(b - p, 1e-3 * np.sign(g), rtol=1e-6)
+
+
 def test_sampler_is_applied_per_source_domain(rng):
     # 4/20 imbalance; weight sampler balances to 2*majority draws
     labels = np.array([1] * 4 + [0] * 20)
