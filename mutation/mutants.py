@@ -92,6 +92,39 @@ MUTANTS = (
         "return (g * ((x.value >= lo) & (x.value <= hi)),)",
         ("tests/test_autodiff.py::test_clamp_passes_no_gradient_at_either_bound",),
     ),
+    Mutant(
+        "gram_penalty_backward_folds_pairs_in_recording_order",
+        "src/adadrug/autodiff.py",
+        "for (a, b), gram in zip(reversed(pairs), reversed(saved)):",
+        "for (a, b), gram in zip(pairs, saved):",
+        ("tests/test_autodiff.py::test_gram_penalty_is_bitwise_the_chain",
+         "tests/test_train.py::test_train_step_is_bitwise_the_unfused_graph[full-sigmoid]"),
+    ),
+    Mutant(
+        "bce_passes_the_gradient_at_the_lower_clamp_bound",
+        "src/adadrug/autodiff.py",
+        "out = [(f / clip) * ((q > lo) & (q < hi)) for q, clip in zip(qs, clipped)]",
+        "out = [(f / clip) * ((q >= lo) & (q < hi)) for q, clip in zip(qs, clipped)]",
+        ("tests/test_autodiff.py::test_clamped_bce_is_bitwise_the_chain",),
+    ),
+    Mutant(
+        "dense_drops_the_input_gradient",
+        "src/adadrug/autodiff.py",
+        "gx = g @ W.value.T if x.needs_grad else None",
+        "gx = None",
+        ("tests/test_autodiff.py::test_dense_passes_no_gradient_to_a_const_input",
+         "tests/test_autodiff.py::test_dense_is_bitwise_the_unfused_chain[relu-False]",
+         "tests/test_train.py::test_train_step_is_bitwise_the_unfused_graph[full-relu]"),
+    ),
+    Mutant(
+        "needs_grad_ignores_parents",
+        "src/adadrug/autodiff.py",
+        "self.needs_grad = grad is not None or any(p.needs_grad for p in parents)",
+        "self.needs_grad = grad is not None",
+        ("tests/test_autodiff.py::test_needs_grad_marks_the_nodes_a_leaf_reaches",
+         "tests/test_autodiff.py::test_quadratic_gradient",
+         "tests/test_train.py::test_train_step_tape_budget[full-89]"),
+    ),
     # -- checkpoints -------------------------------------------------------
     Mutant(
         "checkpoint_checksum_not_compared",

@@ -10,12 +10,20 @@ like ``ModelBundle.flat``) or a zeroed one of their own; ``Tape.const``
 leaves and interior nodes hold ``None``. ``backward`` keeps interior
 gradients in a local list and *adds* into the buffers, so two calls without
 ``Tape.zero_grads`` accumulate. Subgradients at the relu/abs kinks are 0.
+``Node.needs_grad`` is set once, when the node is recorded: true for a leaf
+with a buffer and for any node with a parent that has it. ``backward``
+passes no contribution to a node without it, and ``dense`` does not compute
+one for such an input.
 
 ``dense`` is the fused layer node, ``act(x @ W + b)``. Its forward is
 :func:`adadrug.kernels.dense`, the same layer function the array-level
-forward in :mod:`adadrug.model` calls, and its hand-written backward gives
-the same bits as the unfused ``matmul -> add_bias -> relu/sigmoid`` chain,
-which stays as the reference the tests compare it against.
+forward in :mod:`adadrug.model` calls. The loss terms are fused nodes too:
+``sq_err_mean``, ``gram_penalty``, ``clamped_bce``, ``abs_diff`` and
+``average``. Each hand-written backward gives the same bits as the unfused
+chain of small ops it replaces; those ops (``matmul``, ``add_bias``,
+``relu``, ``sigmoid``, ``sub``, ``scale``, ``absval``, ``log``, ``clamp``,
+``row_sum``, ``sum_all``, ``mean_all``) stay as the reference the tests
+compare against.
 """
 
 import numpy as np
@@ -37,9 +45,11 @@ def as_matrix(x):
 
 class Node:
     """One tape entry: a value, its gradient accumulator (``Tape.leaf``
-    nodes only, ``None`` elsewhere), and provenance."""
+    nodes only, ``None`` elsewhere), provenance, and ``needs_grad``: whether
+    any ``Tape.leaf`` is reachable through its parents (or it is one)."""
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward", "_idx", "tape")
+    __slots__ = ("value", "grad", "op", "parents", "_backward", "_idx", "tape",
+                 "needs_grad")
 
     def __init__(self, value, op, parents, backward, idx, tape, grad=None):
         self.value = value
@@ -49,6 +59,7 @@ class Node:
         self._backward = backward
         self._idx = idx
         self.tape = tape
+        self.needs_grad = grad is not None or any(p.needs_grad for p in parents)
 
     @property
     def shape(self):
@@ -111,7 +122,7 @@ def backward(tape, loss):
             continue
         local[node._idx] = None
         for parent, contrib in zip(node.parents, node._backward(g)):
-            if contrib is None:
+            if contrib is None or not parent.needs_grad:
                 continue
             acc = local[parent._idx]
             local[parent._idx] = contrib if acc is None else acc + contrib
@@ -160,9 +171,125 @@ def dense(x, W, b, act):
             g = kernels.relu_bwd(out, g)
         elif act == "sigmoid":
             g = kernels.sigmoid_bwd(out, g)
-        return g @ W.value.T, x.value.T @ g, g.sum(axis=0, keepdims=True)
+        gx = g @ W.value.T if x.needs_grad else None
+        return gx, x.value.T @ g, np.add.reduce(g, axis=0, keepdims=True)
 
     return x.tape._record(out, "dense", (x, W, b), bwd)
+
+
+# Fused nodes. Each forward runs the numpy ops of the unfused chain named in
+# its docstring, in the same order, and each backward adds up the same
+# products in the order ``backward`` would pass them along that chain, so
+# values and gradients are bitwise the chain's.
+
+def sq_err_mean(pred, target):
+    """``sum((pred - target)^2) / batch`` as one 1x1 node; ``target`` is an
+    array. Chain: ``scale(sum_all(ewmul(d, d)), 1 / batch)`` with
+    ``d = sub(pred, const(target))``."""
+    target = as_matrix(target)
+    if pred.value.shape != target.shape:
+        raise ShapeError(f"sq_err_mean: shapes {pred.value.shape} and {target.shape} "
+                         f"do not match")
+    c = 1.0 / pred.value.shape[0]
+    diff = pred.value - target
+    out = np.array([[(diff * diff).sum()]]) * c
+
+    def bwd(g):
+        fd = (g * c)[0, 0] * diff
+        return (fd + fd,)
+
+    return pred.tape._record(out, "sq_err_mean", (pred,), bwd)
+
+
+def gram_penalty(ws):
+    """``0.5 * sum over pairs a <= b`` of the batch mean of ``(G_ab - [a == b])^2``,
+    weighted 2 off the diagonal, where ``G_ab`` is the row-wise dot product of
+    ``ws[a]`` and ``ws[b]``; one 1x1 node over the K weight nodes. Chain: per
+    pair ``row_sum(ewmul)``, then ``mean_all(ewmul(dev, dev))`` with
+    ``dev = sub(gram, ones)`` on the diagonal and
+    ``scale(mean_all(ewmul(gram, gram)), 2)`` off it, the terms folded by
+    ``add`` and scaled by 0.5."""
+    for w in ws[1:]:
+        _same_shape(ws[0], w, "gram_penalty")
+    vals = [w.value for w in ws]
+    pairs = [(a, b) for a in range(len(ws)) for b in range(a, len(ws))]
+    n = vals[0].shape[0]
+    saved, total = [], None
+    for a, b in pairs:
+        gram = (vals[a] * vals[b]).sum(axis=1, keepdims=True)
+        if a == b:
+            gram = gram - 1.0  # the deviation from the identity
+            term = np.array([[(gram * gram).sum() / n]])
+        else:
+            term = np.array([[(gram * gram).sum() / n]]) * 2.0
+        saved.append(gram)
+        total = term if total is None else total + term
+
+    def bwd(g):
+        g = g * 0.5
+        acc = [None] * len(ws)
+        for (a, b), gram in zip(reversed(pairs), reversed(saved)):
+            f = (g[0, 0] if a == b else (g * 2.0)[0, 0]) / n
+            d = f * gram + f * gram
+            for i, other in ((a, b), (b, a)):
+                contrib = d * vals[other]
+                acc[i] = contrib if acc[i] is None else acc[i] + contrib
+        return acc
+
+    return ws[0].tape._record(total * 0.5, "gram_penalty", tuple(ws), bwd)
+
+
+def clamped_bce(positives, negatives, eps):
+    """Binary cross entropy, label 1 on every entry of ``positives`` and 0 on
+    every entry of ``negatives``, probabilities clipped to [eps, 1 - eps] and
+    the mean taken over all entries; one 1x1 node. Chain: per column
+    ``scale(sum_all(log(clamp(q))), -1)`` with ``q = p`` for a positive and
+    ``q = sub(ones, p)`` for a negative, the terms folded by ``add`` and
+    scaled by ``1 / entries``."""
+    probs = (*positives, *negatives)
+    lo, hi = eps, 1.0 - eps
+    c = 1.0 / sum(p.value.size for p in probs)
+    qs = [p.value for p in positives] + [1.0 - p.value for p in negatives]
+    clipped = [np.clip(q, lo, hi) for q in qs]
+    total = None
+    for q in clipped:
+        term = np.array([[np.log(q).sum()]]) * -1.0
+        total = term if total is None else total + term
+
+    def bwd(g):
+        f = ((g * c) * -1.0)[0, 0]
+        out = [(f / clip) * ((q > lo) & (q < hi)) for q, clip in zip(qs, clipped)]
+        return out[:len(positives)] + [-d for d in out[len(positives):]]
+
+    return probs[0].tape._record(total * c, "clamped_bce", probs, bwd)
+
+
+def abs_diff(a, b):
+    """``|a - b|``; chain ``absval(sub(a, b))``."""
+    _same_shape(a, b, "abs_diff")
+    diff = a.value - b.value
+
+    def bwd(g):
+        g = kernels.abs_bwd(diff, g)
+        return g, -g
+
+    return a.tape._record(np.abs(diff), "abs_diff", (a, b), bwd)
+
+
+def average(nodes):
+    """Elementwise mean of same-shaped nodes; chain: ``add`` fold, then
+    ``scale(., 1 / len(nodes))``."""
+    for node in nodes[1:]:
+        _same_shape(nodes[0], node, "average")
+    c = 1.0 / len(nodes)
+    acc = nodes[0].value
+    for node in nodes[1:]:
+        acc = acc + node.value
+
+    def bwd(g):
+        return (g * c,) * len(nodes)
+
+    return nodes[0].tape._record(acc * c, "average", tuple(nodes), bwd)
 
 
 def add(a, b):

@@ -218,9 +218,13 @@ def cmd_prep(args):
         missing = "--deg-b" if args.deg_b is None else "--deg-a"
         raise ValueError(f"DEG selection needs both --deg-a and --deg-b; "
                          f"{missing} is missing")
-    # NaN fails both comparisons
+    # NaN fails every comparison
     if args.max_zero_frac is not None and not 0.0 <= args.max_zero_frac <= 1.0:
         raise ValueError(f"--max-zero-frac must be in [0, 1], got {args.max_zero_frac!r}")
+    if not 0.0 <= args.lfc_min < np.inf:
+        raise ValueError(f"--lfc-min must be finite and >= 0, got {args.lfc_min!r}")
+    if not 0.0 < args.p_max <= 1.0:
+        raise ValueError(f"--p-max must be in (0, 1], got {args.p_max!r}")
     fmt = args.format
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)

@@ -22,8 +22,9 @@ PAIRWISE_BLOCK_BYTES = 4 << 20
 
 def sigmoid(x, out=None):
     # exp(-|x|) never overflows; the two branches pick the stable form,
-    # 1 / (1 + z) for x >= 0 and z / (1 + z) below. The mask is taken
-    # before anything is written, because ``out`` may alias ``x``.
+    # 1 / (1 + z) for x >= 0 and z / (1 + z) below, by setting the numerator
+    # z to 1 where x >= 0 and dividing once. The mask is taken before
+    # anything is written, because ``out`` may alias ``x``.
     pos = np.greater_equal(x, 0.0)
     if out is None:
         out = np.empty_like(x, dtype=np.result_type(x, 1.0))
@@ -31,8 +32,8 @@ def sigmoid(x, out=None):
     np.negative(z, out=z)
     np.exp(z, out=z)
     den = z + 1.0
-    np.divide(1.0, den, out=z, where=pos)
-    np.divide(z, den, out=z, where=~pos)
+    np.copyto(z, 1.0, where=pos)
+    np.divide(z, den, out=z)
     return z
 
 

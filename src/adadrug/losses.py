@@ -1,9 +1,14 @@
 """The four training objectives and their unweighted sum.
 
-All losses are scalar graph nodes built from :mod:`adadrug.autodiff`
-primitives. Per-domain sums are estimated per mini-batch as batch means,
-so magnitudes are batch-size invariant. Ablated terms are simply omitted
-from the sum (an exact zero), never replaced by scaled-down versions.
+All losses are scalar graph nodes. Each term is one fused
+:mod:`adadrug.autodiff` node: ``sq_err_mean`` per domain for the
+reconstruction and response losses, ``gram_penalty`` for the independence
+penalty and ``clamped_bce`` for the domain loss. The per-domain terms and
+the four losses are summed with ``autodiff.add``. Loss constants (inputs,
+labels, ones) stay inside the fused nodes, so no loss adds a ``Tape.const``
+leaf. Per-domain sums are estimated per mini-batch as batch means, so
+magnitudes are batch-size invariant. Ablated terms are simply omitted from
+the sum (an exact zero), never replaced by scaled-down versions.
 """
 
 from dataclasses import dataclass
@@ -41,14 +46,6 @@ def _sum(terms, empty_message):
     return total
 
 
-def _sq_err_mean(pred_node, target):
-    """sum((pred - target)^2) / batch == batch mean of squared row norms."""
-    tape = pred_node.tape
-    t = tape.const(target)
-    diff = ad.sub(pred_node, t)
-    return ad.scale(ad.sum_all(ad.ewmul(diff, diff)), 1.0 / pred_node.shape[0])
-
-
 def reco_loss(decoded, xs):
     """Reconstruction error summed over domains.
 
@@ -59,7 +56,7 @@ def reco_loss(decoded, xs):
     """
     if len(decoded) != len(xs):
         raise ValueError("reco_loss: need one input matrix per decoded matrix")
-    return _sum((_sq_err_mean(dec, x) for dec, x in zip(decoded, xs)),
+    return _sum((ad.sq_err_mean(dec, x) for dec, x in zip(decoded, xs)),
                 "reco_loss: no domains given")
 
 
@@ -71,29 +68,9 @@ def ind_loss(w_nodes):
     K (batch, d) weight matrices via row-wise Gram entries, which keeps the
     graph size independent of the batch size.
     """
-    k = len(w_nodes)
-    if k < 1:
+    if not w_nodes:
         raise ValueError("ind_loss: need at least one weight matrix")
-    batch = w_nodes[0].shape[0]
-    tape = w_nodes[0].tape
-    ones = tape.const(np.ones((batch, 1)))
-
-    def terms():
-        for a in range(k):
-            for b in range(a, k):
-                gram = ad.row_sum(ad.ewmul(w_nodes[a], w_nodes[b]))
-                if a == b:
-                    dev = ad.sub(gram, ones)
-                    yield ad.mean_all(ad.ewmul(dev, dev))
-                else:
-                    # off-diagonal entries appear twice in the Frobenius norm
-                    yield ad.scale(ad.mean_all(ad.ewmul(gram, gram)), 2.0)
-
-    return ad.scale(_sum(terms(), "ind_loss: no weight pairs"), 0.5)
-
-
-def _neg_log(node):
-    return ad.scale(ad.sum_all(ad.log(ad.clamp(node, PROB_CLAMP, 1.0 - PROB_CLAMP))), -1.0)
+    return ad.gram_penalty(w_nodes)
 
 
 def adv_loss(d_sources, d_target=None):
@@ -105,20 +82,10 @@ def adv_loss(d_sources, d_target=None):
     opposing objective is realized by feeding grad-reversed embeddings into
     the discriminator, not inside this function.
     """
-    n_items = sum(p.value.size for p in d_sources)
-    if d_target is not None:
-        n_items += d_target.value.size
-
-    def terms():
-        for p in d_sources:
-            yield _neg_log(p)
-        if d_target is not None:
-            ones = d_target.tape.const(np.ones(d_target.shape))
-            yield _neg_log(ad.sub(ones, d_target))
-
-    # _sum raises on no columns before 1 / n_items is taken
-    return ad.scale(_sum(terms(), "adv_loss: no probability columns given"),
-                    1.0 / n_items)
+    negatives = [] if d_target is None else [d_target]
+    if not d_sources and not negatives:
+        raise ValueError("adv_loss: no probability columns given")
+    return ad.clamped_bce(d_sources, negatives, PROB_CLAMP)
 
 
 def cls_loss(p_sources, y_sources):
@@ -126,9 +93,9 @@ def cls_loss(p_sources, y_sources):
     if len(p_sources) != len(y_sources):
         raise ValueError("cls_loss: need one label column per probability column")
     ys = [np.asarray(y, dtype=np.float64).reshape(-1, 1) for y in y_sources]
-    if not all(np.isin(y, (0.0, 1.0)).all() for y in ys):
+    if not all(((y == 0.0) | (y == 1.0)).all() for y in ys):
         raise ValueError("cls_loss: labels must be binary")
-    return _sum((_sq_err_mean(p, y) for p, y in zip(p_sources, ys)),
+    return _sum((ad.sq_err_mean(p, y) for p, y in zip(p_sources, ys)),
                 "cls_loss: no domains given")
 
 

@@ -95,6 +95,7 @@ class ModelBundle:
     flat: np.ndarray
     seed: int = 0
     params: dict = field(init=False, repr=False)
+    _cuts: list = field(init=False, repr=False)
 
     def __post_init__(self):
         dec, gen = self.specs["decoder"], self.specs["generator"]
@@ -107,7 +108,8 @@ class ModelBundle:
         if self.flat.shape != (param_count(self.specs),):
             raise ValueError(f"flat must hold the specs' {param_count(self.specs)} "
                              f"parameters, got shape {self.flat.shape}")
-        self.params = param_views(self.flat, self.specs)
+        self._cuts = _layout_cuts(self.specs)
+        self.params = self.views(self.flat)
 
     def __eq__(self, other):
         return (isinstance(other, ModelBundle) and self.specs == other.specs and
@@ -130,6 +132,14 @@ class ModelBundle:
     def arrays(self):
         return [a for _, a in self.named_arrays()]
 
+    def views(self, vec):
+        """``{component: [W0, b0, ...]}``: views of ``vec``, a vector laid out
+        like ``flat``, cut at offsets computed once per bundle."""
+        views = {comp: [] for comp in COMPONENTS}
+        for comp, start, stop, shape in self._cuts:
+            views[comp].append(vec[start:stop].reshape(shape))
+        return views
+
     def copy(self):
         return ModelBundle(specs=dict(self.specs), flat=self.flat.copy(), seed=self.seed)
 
@@ -147,15 +157,13 @@ def param_layout(specs):
     return layout
 
 
-def param_views(flat, specs):
-    """``{component: [W0, b0, W1, b1, ...]}``: views of ``flat`` in layout order."""
-    views = {comp: [] for comp in COMPONENTS}
-    offset = 0
+def _layout_cuts(specs):
+    """(component, start, stop, shape) of each parameter, in layout order."""
+    cuts, offset = [], 0
     for name, (rows, cols) in param_layout(specs):
-        views[name.split(".")[0]].append(flat[offset : offset + rows * cols]
-                                         .reshape(rows, cols))
+        cuts.append((name.split(".")[0], offset, offset + rows * cols, (rows, cols)))
         offset += rows * cols
-    return views
+    return cuts
 
 
 def param_count(specs):
@@ -222,7 +230,7 @@ def predict(bundle, z):
 def lift_params(tape, bundle):
     """Enter the parameters as leaves; returns (nodes per component, flat gradient)."""
     grad = np.zeros_like(bundle.flat)
-    views = param_views(grad, bundle.specs)
+    views = bundle.views(grad)
     return {comp: [tape.leaf(a, op=f"{comp}.param", grad=g)
                    for a, g in zip(bundle.params[comp], views[comp])]
             for comp in COMPONENTS}, grad
@@ -238,13 +246,10 @@ def mlp_forward_nodes(spec, param_nodes, x):
 
 def gen_weights_nodes(bundle, param_nodes, h_target, h_source):
     """Importance vectors from the embedding gap |h_T - h_S|; symmetric."""
-    gap = ad.absval(ad.sub(h_target, h_source))
+    gap = ad.abs_diff(h_target, h_source)
     return mlp_forward_nodes(bundle.specs["generator"], param_nodes["generator"], gap)
 
 
 def mean_weight_nodes(w_nodes):
     """The target's weight: the K source weights summed in order, times 1/K."""
-    acc = w_nodes[0]
-    for w in w_nodes[1:]:
-        acc = ad.add(acc, w)
-    return ad.scale(acc, 1.0 / len(w_nodes))
+    return ad.average(w_nodes)

@@ -53,9 +53,12 @@ def make_bundle(seed=0, n_genes=10, latent=4, enc_hidden=6, head_hidden=3,
 
 def split_grad(bundle, grad):
     """The flat gradient ``train_step`` returns, as arrays in ``bundle.arrays()``
-    order, cut by ``model.param_views``."""
-    views = mdl.param_views(grad, bundle.specs)
-    return [v for comp in mdl.COMPONENTS for v in views[comp]]
+    order, cut at the offsets ``model.param_layout`` implies."""
+    arrays, offset = [], 0
+    for _, (rows, cols) in mdl.param_layout(bundle.specs):
+        arrays.append(grad[offset : offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+    return arrays
 
 
 def unfused_dense(x, w, b, act):
@@ -67,6 +70,78 @@ def unfused_dense(x, w, b, act):
     if act == "sigmoid":
         return ad.sigmoid(a)
     return a
+
+
+# The unfused chains ``ad.sq_err_mean``, ``ad.gram_penalty``, ``ad.clamped_bce``,
+# ``ad.abs_diff`` and ``ad.average`` fuse, with the same signatures: the
+# reference their values and gradients are compared against bit for bit.
+
+def unfused_sq_err_mean(pred_node, target):
+    """sum((pred - target)^2) / batch == batch mean of squared row norms."""
+    tape = pred_node.tape
+    t = tape.const(target)
+    diff = ad.sub(pred_node, t)
+    return ad.scale(ad.sum_all(ad.ewmul(diff, diff)), 1.0 / pred_node.shape[0])
+
+
+def _unfused_sum(terms):
+    total = None
+    for term in terms:
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def unfused_gram_penalty(w_nodes):
+    k = len(w_nodes)
+    batch = w_nodes[0].shape[0]
+    tape = w_nodes[0].tape
+    ones = tape.const(np.ones((batch, 1)))
+
+    def terms():
+        for a in range(k):
+            for b in range(a, k):
+                gram = ad.row_sum(ad.ewmul(w_nodes[a], w_nodes[b]))
+                if a == b:
+                    dev = ad.sub(gram, ones)
+                    yield ad.mean_all(ad.ewmul(dev, dev))
+                else:
+                    # off-diagonal entries appear twice in the Frobenius norm
+                    yield ad.scale(ad.mean_all(ad.ewmul(gram, gram)), 2.0)
+
+    return ad.scale(_unfused_sum(terms()), 0.5)
+
+
+def unfused_clamped_bce(positives, negatives, eps):
+    def neg_log(node):
+        return ad.scale(ad.sum_all(ad.log(ad.clamp(node, eps, 1.0 - eps))), -1.0)
+
+    n_items = sum(p.value.size for p in positives)
+    n_items += sum(p.value.size for p in negatives)
+
+    def terms():
+        for p in positives:
+            yield neg_log(p)
+        for p in negatives:
+            ones = p.tape.const(np.ones(p.shape))
+            yield neg_log(ad.sub(ones, p))
+
+    return ad.scale(_unfused_sum(terms()), 1.0 / n_items)
+
+
+def unfused_abs_diff(a, b):
+    return ad.absval(ad.sub(a, b))
+
+
+def unfused_average(nodes):
+    acc = nodes[0]
+    for w in nodes[1:]:
+        acc = ad.add(acc, w)
+    return ad.scale(acc, 1.0 / len(nodes))
+
+
+UNFUSED = {"dense": unfused_dense, "sq_err_mean": unfused_sq_err_mean,
+           "gram_penalty": unfused_gram_penalty, "clamped_bce": unfused_clamped_bce,
+           "abs_diff": unfused_abs_diff, "average": unfused_average}
 
 
 def per_cell_read_table(path, delim, check_header, what):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adadrug import autodiff as ad
 
-from conftest import unfused_dense
+from conftest import UNFUSED, unfused_dense
 from oracles import central_diff, max_rel_error
 
 
@@ -191,6 +191,35 @@ def test_leaf_adds_into_a_given_buffer_and_const_holds_none():
     ad.backward(t, ad.sum_all(ad.ewmul(ad.ewmul(x, x), c)))
     assert c.grad is None and c.op == "const"
     np.testing.assert_array_equal(flat, [0.0, 12.0, 0.0])  # d(c x^2)/dx = 2 c x
+
+
+def test_needs_grad_marks_the_nodes_a_leaf_reaches():
+    t = ad.Tape()
+    x, c = t.leaf([[1.0]]), t.const([[2.0]])
+    assert x.needs_grad and not c.needs_grad
+    assert not ad.ewmul(ad.add(c, c), c).needs_grad
+    assert ad.ewmul(c, ad.scale(x, 2.0)).needs_grad
+
+
+def test_dense_passes_no_gradient_to_a_const_input():
+    rng = np.random.default_rng(3)
+    x_val, w_val, b_val, c_val = (rng.normal(size=s)
+                                  for s in ((4, 3), (3, 5), (1, 5), (4, 5)))
+
+    def run(enter):
+        t = ad.Tape()
+        x, w, b = enter(t, x_val), t.leaf(w_val), t.leaf(b_val)
+        out = ad.dense(x, w, b, "relu")
+        ad.backward(t, ad.sum_all(ad.ewmul(out, t.const(c_val))))
+        return x, out, w.grad, b.grad
+
+    _, out, w_grad, b_grad = run(ad.Tape.const)
+    assert out._backward(np.ones(out.shape))[0] is None
+    leaf_x, leaf_out, leaf_w_grad, leaf_b_grad = run(ad.Tape.leaf)
+    assert leaf_out._backward(np.ones(out.shape))[0] is not None
+    assert np.abs(leaf_x.grad).sum() > 0.0
+    assert w_grad.tobytes() == leaf_w_grad.tobytes()
+    assert b_grad.tobytes() == leaf_b_grad.tobytes()
 
 
 def _composite_loss(tape, x, w, b):
@@ -400,3 +429,112 @@ def test_no_nans_for_large_finite_inputs(v):
     assert 0.0 <= s.value[0, 0] <= 1.0
     clamped = ad.log(ad.clamp(s, 1e-7, 1.0 - 1e-7))
     assert np.isfinite(clamped.value).all()
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the unfused chains they replace
+# ---------------------------------------------------------------------------
+
+_PROB_EDGES = np.array([1e-7, 1.0 - 1e-7, 0.0, 1.0])
+
+
+def _assert_fused_is_the_chain(name, arrays, build, rng):
+    """``build(op, leaves)`` with ``ad.<name>`` and with its unfused chain: the
+    value, and the gradient of every leaf under a random upstream gradient,
+    must agree bit for bit."""
+    upstream = None
+
+    def run(op):
+        nonlocal upstream
+        t = ad.Tape()
+        leaves = [t.leaf(a) for a in arrays]
+        out = build(op, leaves)
+        if upstream is None:
+            upstream = rng.normal(size=out.shape)
+        ad.backward(t, ad.sum_all(ad.ewmul(out, t.const(upstream))))
+        return [out.value] + [leaf.grad for leaf in leaves]
+
+    fused, chain = run(getattr(ad, name)), run(UNFUSED[name])
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+
+
+def _with_zero_rows(arrays, rows):
+    for i, row in enumerate(rows):
+        arrays[i % len(arrays)][row % len(arrays[0])] = 0.0
+    return arrays
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(_SEEDS, st.integers(1, 6), st.integers(1, 4), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_sq_err_mean_is_bitwise_the_chain(seed, batch, width, n_equal):
+    rng = np.random.default_rng(seed)
+    pred = rng.normal(size=(batch, width)) * 10.0 ** rng.integers(-3, 4)
+    target = rng.normal(size=(batch, width))
+    idx = rng.integers(0, pred.size, size=n_equal)
+    target.flat[idx] = pred.flat[idx]  # zero differences, -0.0 included
+    pred.flat[idx[: n_equal // 2]] = target.flat[idx[: n_equal // 2]] = -0.0
+    _assert_fused_is_the_chain(
+        "sq_err_mean", [pred], lambda op, leaves: op(leaves[0], target), rng)
+
+
+@given(_SEEDS, st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+       st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_gram_penalty_is_bitwise_the_chain(seed, k, batch, width, zero_rows):
+    rng = np.random.default_rng(seed)
+    ws = _with_zero_rows([rng.normal(size=(batch, width)) for _ in range(k)],
+                         zero_rows)
+    _assert_fused_is_the_chain("gram_penalty", ws, lambda op, leaves: op(leaves), rng)
+
+
+@given(_SEEDS, st.integers(0, 4), st.booleans(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_clamped_bce_is_bitwise_the_chain(seed, n_pos, has_neg, batch):
+    # every column holds the clamp bounds, 0 and 1 exactly, then random
+    # probabilities with more of those values mixed in
+    rng = np.random.default_rng(seed)
+    n_pos = max(n_pos, 0 if has_neg else 1)
+    cols = []
+    for _ in range(n_pos + has_neg):
+        p = rng.random(batch)
+        picks = rng.random(batch) < 0.3
+        p[picks] = rng.choice(_PROB_EDGES, size=picks.sum())
+        cols.append(np.concatenate([_PROB_EDGES, p]).reshape(-1, 1))
+    _assert_fused_is_the_chain(
+        "clamped_bce", cols,
+        lambda op, leaves: op(leaves[:n_pos], leaves[n_pos:], 1e-7), rng)
+
+
+@given(_SEEDS, st.integers(1, 6), st.integers(1, 5), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_abs_diff_is_bitwise_the_chain(seed, batch, width, n_equal):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, batch, width))
+    idx = rng.integers(0, a.size, size=n_equal)
+    b.flat[idx] = a.flat[idx]  # the kink, where the subgradient is 0
+    a.flat[idx[: n_equal // 2]] = -0.0
+    _assert_fused_is_the_chain("abs_diff", [a, b],
+                               lambda op, leaves: op(*leaves), rng)
+
+
+@given(_SEEDS, st.integers(1, 4), st.integers(1, 6), st.integers(1, 5),
+       st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_average_is_bitwise_the_chain(seed, k, batch, width, zero_rows):
+    rng = np.random.default_rng(seed)
+    ws = _with_zero_rows([rng.normal(size=(batch, width)) for _ in range(k)],
+                         zero_rows)
+    _assert_fused_is_the_chain("average", ws, lambda op, leaves: op(leaves), rng)
+
+
+def test_fused_nodes_refuse_mismatched_shapes():
+    t = ad.Tape()
+    a, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2)))
+    for call in (lambda: ad.sq_err_mean(a, np.ones((3, 2))),
+                 lambda: ad.gram_penalty([a, b]), lambda: ad.abs_diff(a, b),
+                 lambda: ad.average([a, b])):
+        with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+            call()

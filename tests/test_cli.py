@@ -639,6 +639,37 @@ def test_prep_max_zero_frac_takes_both_bounds(tmp_path, value):
     assert json.loads((out / "prep_summary.json").read_text())["n_genes"] == 8
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lfc-min", "nan", "--lfc-min must be finite and >= 0"),
+    ("--lfc-min", "inf", "--lfc-min must be finite and >= 0"),
+    ("--lfc-min", "-0.5", "--lfc-min must be finite and >= 0"),
+    ("--p-max", "nan", "--p-max must be in (0, 1]"),
+    ("--p-max", "inf", "--p-max must be in (0, 1]"),
+    ("--p-max", "0", "--p-max must be in (0, 1]"),
+    ("--p-max", "1.5", "--p-max must be in (0, 1]"),
+])
+def test_prep_deg_threshold_out_of_range_exits_2_before_reading(
+        tmp_path, capsys, flag, value, message):
+    # no input file exists: the threshold is refused before any is read
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "prep"
+    assert main(["prep", "--sources", missing, "--target", missing, "--out", str(out),
+                 "--deg-a", missing, "--deg-b", missing, flag, value]) == 2
+    assert f"error: {message}, got {float(value)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prep_deg_thresholds_take_their_bounds(tmp_path):
+    # --lfc-min 0 and --p-max 1 keep every gene whose groups differ at all
+    _, config, _ = write_synth_files(tmp_path)
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + [
+        "--deg-a", config["sources"][0]["expression"],
+        "--deg-b", config["sources"][1]["expression"],
+        "--lfc-min", "0", "--p-max", "1"]) == 0
+    assert json.loads((out / "prep_summary.json").read_text())["n_genes"] == 8
+
+
 def test_prep_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
         tmp_path, capsys):
     _, config, _ = write_synth_files(tmp_path)

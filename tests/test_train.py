@@ -14,8 +14,8 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import (JSON_VALUES, make_domain, split_grad, swap_body_blocks,
-                      unfused_dense, write_v1_checkpoint)
+from conftest import (JSON_VALUES, UNFUSED, make_domain, split_grad,
+                      swap_body_blocks, write_v1_checkpoint)
 
 
 def tiny_bundle(rng, n_sources=2, n=24, n_genes=6, target_n=20):
@@ -273,25 +273,37 @@ def test_train_step_is_bitwise_the_unfused_graph(monkeypatch, variant, gen_out):
     model = mdl.init_params(tr.build_specs(12, cfg), 2)
     fused_grad, fused_parts = tr.train_step(model, batch, cfg, 0.4)
 
-    reference_calls = []
+    reference_calls = set()
 
-    def reference(x, w, b, act):
-        reference_calls.append(act)
-        return unfused_dense(x, w, b, act)
+    def reference(name):
+        def call(*args):
+            reference_calls.add(name)
+            return UNFUSED[name](*args)
+        return call
 
-    monkeypatch.setattr(ad, "dense", reference)
+    for name in UNFUSED:
+        monkeypatch.setattr(ad, name, reference(name))
     grad, parts = tr.train_step(model, batch, cfg, 0.4)
-    assert reference_calls
+    assert reference_calls == {"full": set(UNFUSED),
+                               "no_mda": {"dense", "sq_err_mean"},
+                               "baseline": {"dense", "sq_err_mean", "clamped_bce"},
+                               }[variant]
     assert fused_grad.tobytes() == grad.tobytes()
     assert [v.hex() for v in dataclasses.astuple(fused_parts)] == \
         [v.hex() for v in dataclasses.astuple(parts)]
 
 
-@pytest.mark.parametrize("variant,n_nodes", [("full", 179), ("no_mda", 76),
-                                             ("baseline", 68)])
+# ops of the unfused loss chains, which the fused nodes replace
+UNFUSED_LOSS_OPS = {"sub", "scale", "abs", "log", "clamp", "row_sum", "sum_all",
+                    "mean_all"}
+
+
+@pytest.mark.parametrize("variant,n_nodes", [("full", 89), ("no_mda", 52),
+                                             ("baseline", 45)])
 def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
-    # one dense node per layer, and gradient buffers on the parameter leaves
-    # only, each a view of the one gradient vector the step returns
+    # one dense node per layer and one node per loss term; the batches are the
+    # only constants, and gradient buffers sit on the parameter leaves only,
+    # each a view of the one gradient vector the step returns
     sb = sy.generate(sy.SynthConfig(seed=3))
     bundle, cfg = sy.variant_setup(variant, sb.bundle, sy.bench_train_config())
     batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
@@ -306,8 +318,16 @@ def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
     monkeypatch.setattr(ad, "backward", recording_backward)
     grad, _ = tr.train_step(model, batch, cfg, 0.5)
     (tape,) = tapes
+    ops = {n.op for n in tape.nodes}
     assert len(tape.nodes) == n_nodes
-    assert not {"matmul", "add_bias", "relu", "sigmoid"} & {n.op for n in tape.nodes}
+    assert not {"matmul", "add_bias", "relu", "sigmoid"} & ops
+    assert not UNFUSED_LOSS_OPS & ops
+    xs = [*batch.x_sources, batch.x_target] if cfg.mda else batch.x_sources
+    consts = [n for n in tape.nodes if n.grad is None and not n.parents]
+    assert len(consts) == len(xs)
+    assert all(n.op == "const" and n.value is x and not n.needs_grad
+               for n, x in zip(consts, xs))
+    assert all(n.needs_grad for n in tape.nodes if n not in consts)
     holders = [node for node in tape.nodes if node.grad is not None]
     assert len(holders) == len(model.arrays()) == 20
     assert all(node.op.endswith(".param") and not node.parents for node in holders)
