@@ -77,6 +77,26 @@ MUTANTS = (
          "tests/test_data.py::test_one_table_rule_gives_one_message[labels-empty_cell]",
          "tests/test_data.py::test_one_table_rule_gives_one_message[scores-non_finite]"),
     ),
+    # -- run inputs ----------------------------------------------------------
+    Mutant(
+        "one_class_target_labels_accepted",
+        "src/adadrug/cli.py",
+        "if np.unique(labels).size != 2:",
+        "if False:",
+        tuple(f"tests/test_cli.py::"
+              f"test_bad_target_labels_exit_2_before_training_or_writing[one_class-{c}]"
+              for c in ("train", "ablate")),
+    ),
+    Mutant(
+        "run_benchmark_seeds_checked_only_when_run",
+        "src/adadrug/synth.py",
+        "replace(train_cfg, seed=int(s))",
+        "int(s)",
+        ("tests/test_synth.py::"
+         "test_run_benchmark_checks_every_run_before_the_first_trains[negative_seed]",
+         "tests/test_cli.py::"
+         "test_synth_bench_checks_every_run_before_the_first_trains[negative_seed]"),
+    ),
     # -- model -------------------------------------------------------------
     Mutant(
         "he_init_on_fan_out",

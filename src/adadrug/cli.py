@@ -188,18 +188,37 @@ def load_bundle(cfg):
     aligned = dat.align_genes(exprs + [target])
     sources = []
     for s, expr in zip(cfg["sources"], aligned[:-1]):
-        ids, vals, kind = dat.load_labels(s["labels"])
-        sources.append(dat.labels_for(expr, ids, vals, kind))
+        labels = dat.labels_for(expr.sample_ids, *dat.load_labels(s["labels"]))
+        sources.append(dat.LabeledDomain(expr, labels))
     return dat.DomainBundle(sources, aligned[-1])
 
 
 def load_binary_labels(path, sample_ids):
-    ids, vals, kind = dat.load_labels(path)
-    dom = dat.labels_for(
-        dat.ExpressionMatrix(sample_ids, ["_"], np.zeros((len(sample_ids), 1))),
-        ids, vals, kind,
-    )
-    return dom.labels
+    """The target labels of ``sample_ids`` from a labels file. Every caller
+    scores AUROC against them, so a file without both classes is refused."""
+    labels = dat.labels_for(sample_ids, *dat.load_labels(path))
+    if np.unique(labels).size != 2:
+        raise ValueError(f"{path}: target labels must hold both classes (0 and 1)")
+    return labels
+
+
+def load_run(config, target_labels=None, **flags):
+    """The inputs of a training run, all read and checked before anything is
+    written: ``(cfg, cfg_train, bundle, labels)``. ``cfg`` has the ``flags``
+    that are not None applied (``output_dir`` or ``TrainConfig`` fields) and
+    is what ``effective_config.json`` echoes; ``labels`` is None without a
+    ``target_labels`` file."""
+    cfg = load_config(config)
+    output_dir = flags.pop("output_dir", None)
+    if output_dir:
+        cfg["output_dir"] = output_dir
+    cfg_train = train_config_from(cfg, **flags)
+    cfg.update(cfg_train.to_dict())
+    bundle = load_bundle(cfg)
+    labels = None
+    if target_labels is not None:
+        labels = load_binary_labels(target_labels, bundle.target.sample_ids)
+    return cfg, cfg_train, bundle, labels
 
 
 def _score_bundle(model, cfg_train, bundle, seed):
@@ -284,23 +303,16 @@ def cmd_prep(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    if args.output_dir:
-        cfg["output_dir"] = args.output_dir
-    cfg_train = train_config_from(
-        cfg,
+    cfg, cfg_train, bundle, labels = load_run(
+        args.config,
+        args.target_labels,
+        output_dir=args.output_dir,
         seed=args.seed,
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         sampler=args.sampler,
     )
-    cfg.update(cfg_train.to_dict())
-    # a data error, in the target labels too, exits before training or writing
-    bundle = load_bundle(cfg)
-    labels = None
-    if args.target_labels:
-        labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
@@ -316,11 +328,7 @@ def cmd_train(args):
     }
     if labels is not None:
         scores, _ = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
-        report = ev.metrics_report(scores, labels)
-        metrics.update(
-            auroc=report.auroc, aupr=report.aupr,
-            n_pos=report.n_pos, n_neg=report.n_neg,
-        )
+        metrics.update(dataclasses.asdict(ev.metrics_report(scores, labels)))
         ev.write_scores_csv(out / "scores.csv", bundle.target.sample_ids,
                             scores, labels)
     write_json(out / "metrics.json", metrics)
@@ -355,14 +363,8 @@ def cmd_evaluate(args):
         labels = inline_labels
     else:
         raise ValueError("no labels: pass --labels or use a scores CSV with labels")
-    report = ev.metrics_report(scores, labels)
-    metrics = {
-        "auroc": report.auroc,
-        "aupr": report.aupr,
-        "n_pos": report.n_pos,
-        "n_neg": report.n_neg,
-        "config_hash": config_hash(load_config(args.config)) if args.config else None,
-    }
+    metrics = dataclasses.asdict(ev.metrics_report(scores, labels))
+    metrics["config_hash"] = config_hash(load_config(args.config)) if args.config else None
     write_json(args.out, metrics)
     print(json.dumps(metrics, sort_keys=True))
     return 0
@@ -379,14 +381,11 @@ def _parse_seeds(text):
 
 
 def cmd_ablate(args):
-    cfg = load_config(args.config)
-    cfg_train = train_config_from(cfg, epochs=args.epochs)
-    cfg.update(cfg_train.to_dict())
     seeds = _parse_seeds(args.seeds)
+    cfg, cfg_train, bundle, labels = load_run(args.config, args.target_labels,
+                                              epochs=args.epochs)
     for seed in seeds:  # a bad seed fails here, before anything is written
         dataclasses.replace(cfg_train, seed=seed)
-    bundle = load_bundle(cfg)  # as in train, a data error exits before writing
-    labels = load_binary_labels(args.target_labels, bundle.target.sample_ids)
     out = Path(args.out or cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)

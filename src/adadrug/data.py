@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
-from scipy import special as _sp_special
 
 from . import kernels
 
@@ -268,15 +267,16 @@ def load_labels(path):
     return ids, values[:, 0], header[1].strip().lower()
 
 
-def labels_for(expr, label_ids, label_values, kind):
-    """Match a labels file to an expression matrix and return a LabeledDomain."""
+def labels_for(sample_ids, label_ids, label_values, kind):
+    """The 0/1 labels of ``sample_ids``, in their order, matched by id to a
+    labels file's ``load_labels`` triple. A sample without a label is an
+    error; ic50 values are binarized over ``sample_ids`` only."""
     lookup = dict(zip(label_ids, np.asarray(label_values, dtype=np.float64)))
-    missing = [s for s in expr.sample_ids if s not in lookup]
+    missing = [s for s in sample_ids if s not in lookup]
     if missing:
         raise ValueError(f"no label for samples: {missing[:5]}")
-    vals = np.array([lookup[s] for s in expr.sample_ids])
-    labels = binarize_ic50(vals) if kind == "ic50" else vals.astype(np.int64)
-    return LabeledDomain(expr, labels)
+    vals = np.array([lookup[s] for s in sample_ids])
+    return binarize_ic50(vals) if kind == "ic50" else vals.astype(np.int64)
 
 
 def load_gene_list(path):
@@ -367,8 +367,6 @@ def select_hvg(expr, n, n_bins=20):
     g_mean = disp.mean()
     order_by_mean = np.argsort(means[eligible], kind="stable")
     for bin_idx in np.array_split(order_by_mean, min(n_bins, eligible.size)):
-        if bin_idx.size == 0:
-            continue
         b_std = disp[bin_idx].std(ddof=1) if bin_idx.size >= 2 else 0.0
         if b_std > 0:
             z[bin_idx] = (disp[bin_idx] - disp[bin_idx].mean()) / b_std
@@ -390,6 +388,9 @@ def select_hvg(expr, n, n_bins=20):
 
 def _welch(a, b):
     """Welch two-sample t-test p-values per column; variance floored."""
+    # imported here: DEG selection is the one path that needs scipy, and
+    # scipy.special loads dozens of modules every other command would pay for
+    from scipy import special
     na, nb = a.shape[0], b.shape[0]
     ma, mb = a.mean(axis=0), b.mean(axis=0)
     va, vb = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
@@ -397,7 +398,7 @@ def _welch(a, b):
     t = (ma - mb) / np.sqrt(se2)
     denom = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
     df = np.where(denom > 0, se2**2 / np.maximum(denom, 1e-300), na + nb - 2)
-    p = 2.0 * _sp_special.stdtr(df, -np.abs(t))
+    p = 2.0 * special.stdtr(df, -np.abs(t))
     return t, p
 
 

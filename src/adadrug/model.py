@@ -63,24 +63,6 @@ class MlpSpec:
         return self.widths[-1]
 
 
-def default_specs(n_genes, latent_dim=128, encoder_hidden=256, disc_hidden=64,
-                  pred_hidden=64, gen_out_activation="relu"):
-    """Default component shapes for a given input gene count and latent size.
-
-    Generator output is relu by default so the per-dimension importances are
-    non-negative (sigmoid is the bounded alternative); discriminator and
-    predictor end in a sigmoid probability.
-    """
-    d = int(latent_dim)
-    return {
-        "encoder": MlpSpec((n_genes, encoder_hidden, d)),
-        "decoder": MlpSpec((d, encoder_hidden, n_genes)),
-        "generator": MlpSpec((d, d, d), out_activation=gen_out_activation),
-        "discriminator": MlpSpec((d, disc_hidden, 1), out_activation="sigmoid"),
-        "predictor": MlpSpec((d, pred_hidden, 1), out_activation="sigmoid"),
-    }
-
-
 @dataclass
 class ModelBundle:
     """Every parameter of the five components, in one float64 vector.

@@ -8,9 +8,9 @@ them by construction.
 """
 
 from dataclasses import dataclass, fields, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import data as dat
 from . import evaluate as ev
@@ -76,7 +76,7 @@ def generate(cfg):
     beta = rng.normal(size=s)
     beta /= np.linalg.norm(beta)
     a_base = rng.normal(size=(g, s)) / np.sqrt(s)
-    threshold = ndtri(1.0 - cfg.pos_rate)
+    threshold = NormalDist().inv_cdf(1.0 - cfg.pos_rate)
     genes = [f"g{j}" for j in range(g)]
 
     def draw_domain(tag, n):
@@ -176,6 +176,8 @@ def run_variant(synth, variant, seed, train_cfg):
 def run_benchmark(cfg, variants, seeds, train_cfg=None):
     """Train every (variant, seed) pair in turn and return the per-run rows.
 
+    Every variant and seed is checked before the first run trains, by
+    ``variant_setup`` and ``TrainConfig``, so a bad one trains nothing.
     Rows come back in (variant order, seed order). Runs are serial: the
     tape is bound by the interpreter lock, so threads cannot overlap them.
     """
@@ -185,28 +187,26 @@ def run_benchmark(cfg, variants, seeds, train_cfg=None):
         raise ValueError("variants must be non-empty")
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r} (choose from {VARIANTS})")
     if train_cfg is None:
         train_cfg = bench_train_config()
     synth = generate(cfg)
+    for v in variants:
+        variant_setup(v, synth.bundle, train_cfg)
+    for s in seeds:
+        replace(train_cfg, seed=int(s))
     return [run_variant(synth, v, int(s), train_cfg)
             for v in variants for s in seeds]
 
 
 def summarize(rows):
     """Per-variant mean/sd of AUROC and AUPR, in first-seen variant order."""
-    order, by_variant = [], {}
+    by_variant = {}  # insertion-ordered
     for r in rows:
-        if r.variant not in by_variant:
-            order.append(r.variant)
-            by_variant[r.variant] = []
-        by_variant[r.variant].append(r)
+        by_variant.setdefault(r.variant, []).append(r)
     out = {}
-    for v in order:
-        aurocs = np.array([r.auroc for r in by_variant[v]])
-        auprs = np.array([r.aupr for r in by_variant[v]])
+    for v, runs in by_variant.items():
+        aurocs = np.array([r.auroc for r in runs])
+        auprs = np.array([r.aupr for r in runs])
         out[v] = {
             "n": int(aurocs.size),
             "auroc_mean": float(aurocs.mean()),

@@ -183,14 +183,20 @@ def _resample_sources(sources, cfg, seeds):
 
 
 def build_specs(n_genes, cfg):
-    return mdl.default_specs(
-        n_genes,
-        latent_dim=cfg.latent_dim,
-        encoder_hidden=cfg.encoder_hidden,
-        disc_hidden=cfg.disc_hidden,
-        pred_hidden=cfg.pred_hidden,
-        gen_out_activation=cfg.gen_out_activation,
-    )
+    """The five component shapes for ``n_genes`` inputs and ``cfg``'s widths.
+
+    Hidden layers are relu. The generator ends in ``cfg.gen_out_activation``
+    (relu keeps the per-dimension importances non-negative, sigmoid bounds
+    them); the discriminator and predictor end in a sigmoid probability.
+    """
+    d, hidden = cfg.latent_dim, cfg.encoder_hidden
+    return {
+        "encoder": mdl.MlpSpec((n_genes, hidden, d)),
+        "decoder": mdl.MlpSpec((d, hidden, n_genes)),
+        "generator": mdl.MlpSpec((d, d, d), out_activation=cfg.gen_out_activation),
+        "discriminator": mdl.MlpSpec((d, cfg.disc_hidden, 1), out_activation="sigmoid"),
+        "predictor": mdl.MlpSpec((d, cfg.pred_hidden, 1), out_activation="sigmoid"),
+    }
 
 
 def train_step(bundle, batch, cfg, lam):

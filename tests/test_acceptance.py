@@ -172,7 +172,7 @@ def test_criterion_2_loss_identities():
 def test_criterion_3_orthogonality_optimization():
     t0 = time.time()
     sb = sy.generate(sy.SynthConfig())
-    specs = mdl.default_specs(60, latent_dim=32, encoder_hidden=64)
+    specs = tr.build_specs(60, tr.TrainConfig(latent_dim=32, encoder_hidden=64))
     bundle = mdl.init_params(specs, seed=3)
     rng = np.random.default_rng(4)
     gen = bundle.params["generator"]

@@ -402,14 +402,17 @@ def train_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
-@pytest.mark.parametrize("labels", ["missing_file", "other_ids"])
+@pytest.mark.parametrize("labels", ["missing_file", "other_ids", "one_class"])
 def test_bad_target_labels_exit_2_before_training_or_writing(tmp_path, capsys,
                                                              train_calls, command,
                                                              labels):
-    cfg_path, _, _ = write_synth_files(tmp_path)
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
     path = tmp_path / "target_labels_bad.csv"
     if labels == "other_ids":
         path.write_text("sample_id,label\nnot_a_target,1\n")
+    elif labels == "one_class":  # AUROC needs both classes
+        ids, _, _ = dat.load_labels(target_labels)
+        path.write_text("sample_id,label\n" + "".join(f"{sid},1\n" for sid in ids))
     out = tmp_path / "out"
     args = ["--output-dir", str(out)] if command == "train" else ["--out", str(out)]
     assert main([command, "--config", str(cfg_path), "--target-labels", str(path),
@@ -461,6 +464,20 @@ def test_synth_bench_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert main(["synth-bench", "--seeds", seeds, "--variants", "full",
                  "--out", str(out)]) == 2
     assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seeds", "0,-1"], "seed: must be >= 0"),
+    (["--k", "1", "--variants", "full,full_2src"], "full_2src needs at least two"),
+], ids=["negative_seed", "full_2src_with_one_source"])
+def test_synth_bench_checks_every_run_before_the_first_trains(tmp_path, capsys,
+                                                             train_calls, flags,
+                                                             message):
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert train_calls == []
     assert not out.exists()
 
 
@@ -563,6 +580,17 @@ def test_evaluate_uses_inline_labels(tmp_path, rng):
     out = tmp_path / "m.json"
     assert main(["evaluate", "--scores", str(scores_path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["auroc"] == 1.0
+
+
+def test_evaluate_with_one_class_labels_exits_2_naming_the_file(tmp_path, capsys):
+    scores_path, labels_path = tmp_path / "s.csv", tmp_path / "labels.csv"
+    ev.write_scores_csv(scores_path, ["a", "b", "c"], [0.9, 0.5, 0.2])
+    labels_path.write_text("sample_id,label\na,0\nb,0\nc,0\n")
+    out = tmp_path / "m.json"
+    assert main(["evaluate", "--scores", str(scores_path), "--labels",
+                 str(labels_path), "--out", str(out)]) == 2
+    assert str(labels_path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -721,6 +749,18 @@ def test_prep_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
     back = dat.load_expression(prep / "target.csv")
     assert back.sample_ids == ids and back.gene_names == genes
     assert (prep / "target.csv").read_bytes().startswith("sample,g\u00e8ne".encode())
+
+
+def test_only_deg_selection_imports_scipy():
+    # scipy.special loads dozens of modules; only prep --deg-a/--deg-b needs it
+    code = ("import sys\n"
+            "import adadrug.cli, adadrug.evaluate, adadrug.synth, adadrug.train\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("given,missing", [("--deg-a", "--deg-b"),

@@ -71,10 +71,8 @@ def test_load_labels_both_kinds(tmp_path):
     p = write(tmp_path, "i.csv", "sample_id,ic50\na,0.5\nb,9.5\n")
     ids, vals, kind = dat.load_labels(p)
     assert kind == "ic50"
-    dom = dat.labels_for(
-        dat.ExpressionMatrix(["b", "a"], ["g"], [[0.0], [0.0]]), ids, vals, kind
-    )
-    np.testing.assert_array_equal(dom.labels, [0, 1])  # mean 5: b resistant
+    labels = dat.labels_for(["b", "a"], ids, vals, kind)
+    np.testing.assert_array_equal(labels, [0, 1])  # mean 5: b resistant
 
 
 def test_load_labels_rejects_bad_label(tmp_path):
@@ -85,10 +83,7 @@ def test_load_labels_rejects_bad_label(tmp_path):
 
 def test_labels_for_missing_sample(tmp_path):
     with pytest.raises(ValueError, match="no label"):
-        dat.labels_for(
-            dat.ExpressionMatrix(["a", "z"], ["g"], [[0.0], [0.0]]),
-            ["a"], [1.0], "label",
-        )
+        dat.labels_for(["a", "z"], ["a"], [1.0], "label")
 
 
 def test_gene_list_and_sets(tmp_path):

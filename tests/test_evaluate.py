@@ -301,9 +301,10 @@ def test_export_embeddings_roundtrip_and_identity(tmp_path, rng):
 def _paper_width_scoring_case(n_target):
     """64-gene model at latent 128, three 128-row source domains."""
     from adadrug import model as mdl
+    from adadrug import train as tr
 
     rng = np.random.default_rng(11)
-    bundle = mdl.init_params(mdl.default_specs(64, latent_dim=128), 5)
+    bundle = mdl.init_params(tr.build_specs(64, tr.TrainConfig(latent_dim=128)), 5)
     sources = [make_domain(rng, n=128, n_genes=64, tag=f"d{k}_") for k in range(3)]
     h = mdl.encode(bundle, rng.normal(size=(n_target, 64)))
     return bundle, h, sources

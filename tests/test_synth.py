@@ -106,8 +106,8 @@ def test_variant_setup_shapes():
         sy.variant_setup("nonsense", sb.bundle, cfg)
 
 
-def _fast_cfg():
-    return small_cfg(n_per_domain=60, n_target=60, n_genes=10, signal_dim=3)
+def _fast_cfg(**kw):
+    return small_cfg(n_per_domain=60, n_target=60, n_genes=10, signal_dim=3, **kw)
 
 
 def _fast_train():
@@ -160,6 +160,20 @@ def test_run_benchmark_rejects_bad_variants():
         sy.run_benchmark(_fast_cfg(), [], [0])
     with pytest.raises(ValueError):
         sy.run_benchmark(_fast_cfg(), ["fancy"], [0])
+
+
+@pytest.mark.parametrize("n_sources,variants,seeds,message", [
+    (3, ["full"], [0, -1], "seed: must be >= 0"),
+    (1, ["full", "full_2src"], [0], "full_2src needs at least two"),
+], ids=["negative_seed", "full_2src_with_one_source"])
+def test_run_benchmark_checks_every_run_before_the_first_trains(
+        monkeypatch, n_sources, variants, seeds, message):
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        sy.run_benchmark(_fast_cfg(n_sources=n_sources), variants, seeds,
+                         train_cfg=_fast_train())
+    assert calls == []
 
 
 def test_run_benchmark_rejects_empty_seeds():
