@@ -39,8 +39,8 @@ MUTANTS = (
     Mutant(
         "adam_step_count_one_ahead",
         "src/adadrug/train.py",
-        "                              self.t, s1, s2)",
-        "                              self.t + 1, s1, s2)",
+        "self.eps, self.t, self.s1, self.s2)",
+        "self.eps, self.t + 1, self.s1, self.s2)",
         ("tests/test_train.py::test_adam_first_step_moves_each_parameter_by_lr",),
     ),
     Mutant(
@@ -96,6 +96,20 @@ MUTANTS = (
          "test_run_benchmark_checks_every_run_before_the_first_trains[negative_seed]",
          "tests/test_cli.py::"
          "test_synth_bench_checks_every_run_before_the_first_trains[negative_seed]"),
+    ),
+    Mutant(
+        "ablate_out_not_passed_to_load_run",
+        "src/adadrug/cli.py",
+        "epochs=args.epochs, output_dir=args.out)",
+        "epochs=args.epochs)",
+        ("tests/test_cli.py::test_ablate_out_is_echoed_as_output_dir_and_reloads_equal",),
+    ),
+    Mutant(
+        "synth_bench_empty_seeds_taken_as_unset",
+        "src/adadrug/cli.py",
+        "if args.seeds is not None else",
+        "if args.seeds else",
+        ("tests/test_cli.py::test_synth_bench_without_seeds_exits_2_and_writes_nothing[]",),
     ),
     # -- model -------------------------------------------------------------
     Mutant(

@@ -8,8 +8,9 @@ Gradient contract: only ``Tape.leaf`` nodes hold a ``Node.grad`` buffer,
 the caller's ``grad`` array (training passes views of one vector laid out
 like ``ModelBundle.flat``) or a zeroed one of their own; ``Tape.const``
 leaves and interior nodes hold ``None``. ``backward`` keeps interior
-gradients in a local list and *adds* into the buffers, so two calls without
-``Tape.zero_grads`` accumulate. Subgradients at the relu/abs kinks are 0.
+gradients in a local list and *adds* into the caller's buffers, which
+training zeroes by building a fresh tape and gradient vector each step.
+Subgradients at the relu/abs kinks are 0.
 ``Node.needs_grad`` is set once, when the node is recorded: true for a leaf
 with a buffer and for any node with a parent that has it. ``backward``
 passes no contribution to a node without it, and ``dense`` does not compute
@@ -90,19 +91,13 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def zero_grads(self):
-        for node in self.nodes:
-            if node.grad is not None:
-                node.grad[...] = 0.0
-
 
 def backward(tape, loss):
-    """Accumulate d(loss)/d(leaf) into every ``Tape.leaf`` node's ``grad``.
+    """Add d(loss)/d(leaf) into every ``Tape.leaf`` node's ``grad``.
 
-    ``loss`` must be a 1x1 node on ``tape``. Per-call gradients are built in
-    local buffers and added to the leaves' ``Node.grad``, so repeated calls
-    accumulate additively; an interior node's gradient is dropped once it
-    has been passed on to its parents.
+    ``loss`` must be a 1x1 node on ``tape``. Gradients are built in local
+    buffers and added into the caller's buffer of each leaf; an interior
+    node's gradient is dropped once it has been passed on to its parents.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(

@@ -383,10 +383,10 @@ def _parse_seeds(text):
 def cmd_ablate(args):
     seeds = _parse_seeds(args.seeds)
     cfg, cfg_train, bundle, labels = load_run(args.config, args.target_labels,
-                                              epochs=args.epochs)
+                                              epochs=args.epochs, output_dir=args.out)
     for seed in seeds:  # a bad seed fails here, before anything is written
         dataclasses.replace(cfg_train, seed=seed)
-    out = Path(args.out or cfg["output_dir"])
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
     synth = sy.SynthBundle(bundle, labels)
@@ -399,7 +399,7 @@ def cmd_ablate(args):
 
 
 def cmd_synth_bench(args):
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else [args.seed or 0]
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     synth_cfg = sy.SynthConfig(**_set_flags(
         n_sources=args.k,
@@ -506,8 +506,12 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("synth-bench", help="synthetic transfer benchmark")
-    p.add_argument("--seed", type=int, default=0, help="single training seed")
-    p.add_argument("--seeds", default=None, help="comma-separated training seeds")
+    # default None, not 0: argparse lets a value equal to the default through
+    # the exclusive group, so "--seed 0 --seeds 1,2" would lose its --seed
+    seeding = p.add_mutually_exclusive_group()
+    seeding.add_argument("--seed", type=int, default=None,
+                         help="single training seed (default 0)")
+    seeding.add_argument("--seeds", default=None, help="comma-separated training seeds")
     p.add_argument("--variants", default="full,baseline,no_mda,no_ind,no_awg")
     p.add_argument("--out", default="synth_bench")
     # data flags left unset keep SynthConfig's defaults

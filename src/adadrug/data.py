@@ -74,12 +74,6 @@ class ExpressionMatrix:
         idx = [col[g] for g in genes]
         return ExpressionMatrix(self.sample_ids, list(genes), self.values[:, idx])
 
-    def subset_samples(self, rows):
-        rows = list(rows)
-        return ExpressionMatrix(
-            [self.sample_ids[i] for i in rows], self.gene_names, self.values[rows]
-        )
-
 
 @dataclass
 class LabeledDomain:
@@ -138,10 +132,6 @@ class TupleBatch:
     x_sources: list  # K arrays (B, G)
     y_sources: list  # K arrays (B,)
     x_target: np.ndarray  # (B, G)
-
-    @property
-    def batch_size(self):
-        return self.x_target.shape[0]
 
 
 # ---------------------------------------------------------------------------

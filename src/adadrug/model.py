@@ -111,9 +111,6 @@ class ModelBundle:
         return [(name, a) for (name, _), a in zip(param_layout(self.specs), arrays,
                                                   strict=True)]
 
-    def arrays(self):
-        return [a for _, a in self.named_arrays()]
-
     def views(self, vec):
         """``{component: [W0, b0, ...]}``: views of ``vec``, a vector laid out
         like ``flat``, cut at offsets computed once per bundle."""
@@ -121,9 +118,6 @@ class ModelBundle:
         for comp, start, stop, shape in self._cuts:
             views[comp].append(vec[start:stop].reshape(shape))
         return views
-
-    def copy(self):
-        return ModelBundle(specs=dict(self.specs), flat=self.flat.copy(), seed=self.seed)
 
 
 def param_layout(specs):

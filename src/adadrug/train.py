@@ -130,9 +130,15 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
+    """Per-step loss parts and per-epoch wall times of one run."""
+
     parts: list = field(default_factory=list)  # LossParts per step
     epoch_seconds: list = field(default_factory=list)
-    final_step: int = 0
+
+    @property
+    def final_step(self):
+        """Steps taken: one part is recorded per step."""
+        return len(self.parts)
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -144,22 +150,23 @@ class TrainHistory:
 
 
 class Adam:
-    """Standard Adam over a fixed list of parameter arrays (updated in place)."""
+    """Standard Adam over one parameter array, updated in place.
 
-    def __init__(self, params, lr, b1=0.9, b2=0.999, eps=1e-8):
-        self.params = list(params)
+    Training passes ``ModelBundle.flat``. The update is elementwise, so one
+    optimizer over the flat vector gives the bits of one per parameter array.
+    """
+
+    def __init__(self, param, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.param = param
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.params]
+        self.m, self.v = np.zeros_like(param), np.zeros_like(param)
+        self.s1, self.s2 = np.empty_like(param), np.empty_like(param)
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grad):
         self.t += 1
-        for p, g, m, v, (s1, s2) in zip(self.params, grads, self.m, self.v,
-                                         self.scratch):
-            kernels.adam_step(p, g, m, v, self.lr, self.b1, self.b2, self.eps,
-                              self.t, s1, s2)
+        kernels.adam_step(self.param, grad, self.m, self.v, self.lr, self.b1, self.b2,
+                          self.eps, self.t, self.s1, self.s2)
 
 
 def grl_coefficient(cfg, step, total_steps):
@@ -258,31 +265,29 @@ def train(bundle, cfg):
     work = dat.DomainBundle(sources, bundle.target)
 
     model = mdl.init_params(build_specs(n_genes, cfg), init_seed)
-    opt = Adam([model.flat], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(model.flat, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
 
     total_steps = dat.epoch_length(work, cfg.batch_size) * cfg.epochs
 
     history = TrainHistory()
-    step = 0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         for batch in dat.assemble_batches(work, cfg.batch_size, batch_seed, epoch):
+            step = history.final_step
             lam = grl_coefficient(cfg, step, total_steps)
             grad, parts = train_step(model, batch, cfg, lam)
             if not math.isfinite(parts.total):
                 raise DivergenceError(f"training diverged at step {step}: "
                                       f"loss parts {parts}")
-            opt.step([grad])
+            opt.step(grad)
             history.parts.append(parts)
-            step += 1
         history.epoch_seconds.append(time.perf_counter() - t0)
     for name, a in model.named_arrays():
         if not np.isfinite(a).all():
             raise DivergenceError(
                 f"training diverged: parameter {name} is not finite after the "
-                f"last step ({step - 1}), whose loss parts were {history.parts[-1]}"
+                f"last step ({step}), whose loss parts were {history.parts[-1]}"
             )
-    history.final_step = step
     return model, history
 
 

@@ -35,13 +35,9 @@ def make_bundle(seed=0, n_genes=10, latent=4, enc_hidden=6, head_hidden=3,
     hidden pre-activation sits exactly on a relu kink; finite-difference
     checks need that generic position.
     """
-    specs = {
-        "encoder": mdl.MlpSpec((n_genes, enc_hidden, latent)),
-        "decoder": mdl.MlpSpec((latent, enc_hidden, n_genes)),
-        "generator": mdl.MlpSpec((latent, latent, latent), out_activation="relu"),
-        "discriminator": mdl.MlpSpec((latent, head_hidden, 1), out_activation="sigmoid"),
-        "predictor": mdl.MlpSpec((latent, head_hidden, 1), out_activation="sigmoid"),
-    }
+    specs = tr.build_specs(n_genes, tr.TrainConfig(
+        latent_dim=latent, encoder_hidden=enc_hidden, disc_hidden=head_hidden,
+        pred_hidden=head_hidden))
     bundle = mdl.init_params(specs, seed)
     if random_biases:
         rng = np.random.default_rng(seed + 7919)
@@ -52,13 +48,10 @@ def make_bundle(seed=0, n_genes=10, latent=4, enc_hidden=6, head_hidden=3,
 
 
 def split_grad(bundle, grad):
-    """The flat gradient ``train_step`` returns, as arrays in ``bundle.arrays()``
-    order, cut at the offsets ``model.param_layout`` implies."""
-    arrays, offset = [], 0
-    for _, (rows, cols) in mdl.param_layout(bundle.specs):
-        arrays.append(grad[offset : offset + rows * cols].reshape(rows, cols))
-        offset += rows * cols
-    return arrays
+    """The flat gradient ``train_step`` returns, as arrays in
+    ``bundle.named_arrays()`` order: ``bundle.views(grad)`` in component order."""
+    views = bundle.views(grad)
+    return [g for comp in mdl.COMPONENTS for g in views[comp]]
 
 
 def unfused_dense(x, w, b, act):

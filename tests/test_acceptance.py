@@ -57,7 +57,7 @@ def test_criterion_1_gradient_correctness(rng):
     grad, parts = tr.train_step(bundle, batch, cfg, lam)
     grads = split_grad(bundle, grad)
     names = [n for n, _ in bundle.named_arrays()]
-    arrays = bundle.arrays()
+    arrays = [a for _, a in bundle.named_arrays()]
 
     # one central-difference sweep records all four loss values at once
     h = 1e-5
@@ -195,7 +195,7 @@ def test_criterion_3_orthogonality_optimization():
         return float(np.mean(vals))
 
     initial = residual()
-    opt = tr.Adam(gen, lr=3e-3)
+    opts = [tr.Adam(arr, lr=3e-3) for arr in gen]
     for _ in range(2000):
         tape = ad.Tape()
         pn = [tape.leaf(arr) for arr in gen]
@@ -207,7 +207,8 @@ def test_criterion_3_orthogonality_optimization():
         ]
         loss = ls.ind_loss(w_nodes)
         ad.backward(tape, loss)
-        opt.step([n.grad for n in pn])
+        for opt, n in zip(opts, pn):
+            opt.step(n.grad)
     final = residual()
     elapsed = time.time() - t0
     report(3, final < 0.1 and elapsed < 30.0,

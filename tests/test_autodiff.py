@@ -170,16 +170,14 @@ def test_backward_requires_scalar_loss():
         ad.backward(t, ad.relu(x))
 
 
-def test_backward_accumulates_and_zero_grads_resets():
+def test_backward_adds_into_leaf_buffers():
     t = ad.Tape()
     x = t.leaf([[3.0]])
     loss = ad.sum_all(ad.ewmul(x, x))
     ad.backward(t, loss)
     ad.backward(t, loss)
     np.testing.assert_array_equal(x.grad, [[12.0]])
-    t.zero_grads()
     # only leaves hold a gradient buffer; interior gradients live in backward
-    assert (x.grad == 0.0).all()
     assert [node.grad for node in t.nodes if node.parents] == [None, None]
 
 

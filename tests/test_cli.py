@@ -440,6 +440,19 @@ def test_ablate_runs_exact_variant_set(tmp_path):
     assert set(summary) == {"full", "no_mda", "no_ind", "no_awg"}
 
 
+def test_ablate_out_is_echoed_as_output_dir_and_reloads_equal(tmp_path):
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
+    out = tmp_path / "ablation"
+    assert main([
+        "ablate", "--config", str(cfg_path), "--target-labels", str(target_labels),
+        "--epochs", "1", "--out", str(out),
+    ]) == 0
+    echo = out / "effective_config.json"
+    echo_doc = json.loads(echo.read_text())
+    assert echo_doc["output_dir"] == str(out)
+    assert cli.load_config(echo) == echo_doc
+
+
 def test_ablate_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg_path, _, target_labels = write_synth_files(tmp_path)
     out = tmp_path / "ablation"
@@ -458,12 +471,22 @@ def test_ablate_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", [",", " , ", "1,x"])
+@pytest.mark.parametrize("seeds", [",", " , ", "1,x", ""])
 def test_synth_bench_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys, seeds):
     out = tmp_path / "bench"
     assert main(["synth-bench", "--seeds", seeds, "--variants", "full",
                  "--out", str(out)]) == 2
     assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["5", "0"])
+def test_synth_bench_with_seed_and_seeds_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                   seed):
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--seed", seed, "--seeds", "0,1", "--variants",
+                 "baseline", "--epochs", "1", "--out", str(out)]) == 1
+    assert "--seeds: not allowed with argument --seed" in capsys.readouterr().err
     assert not out.exists()
 
 

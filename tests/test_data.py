@@ -546,7 +546,6 @@ def test_assemble_batches_epoch_shape(rng):
     batches = dat.assemble_batches(bundle, 2, seed=0)
     assert len(batches) == 3  # ceil(5/2)
     for b in batches:
-        assert b.batch_size == 2
         assert len(b.x_sources) == 2 and len(b.y_sources) == 2
         assert all(x.shape == (2, 4) for x in b.x_sources)
         assert all(y.shape == (2,) for y in b.y_sources)

@@ -64,7 +64,8 @@ def test_init_same_seed_is_bitwise_identical():
 def test_init_different_seeds_differ():
     a, b = make_bundle(seed=3), make_bundle(seed=4)
     assert any(
-        not np.array_equal(pa, pb) for pa, pb in zip(a.arrays(), b.arrays())
+        not np.array_equal(pa, pb)
+        for (_, pa), (_, pb) in zip(a.named_arrays(), b.named_arrays())
     )
 
 
@@ -93,9 +94,13 @@ def test_bundle_rejects_inconsistent_widths():
 def test_params_are_views_into_one_flat_vector():
     bundle = make_bundle(seed=2)
     assert bundle.flat.shape == (mdl.param_count(bundle.specs),)
-    assert bundle.flat.tobytes() == b"".join(a.tobytes() for a in bundle.arrays())
+
+    def joined():
+        return b"".join(a.tobytes() for _, a in bundle.named_arrays())
+
+    assert bundle.flat.tobytes() == joined()
     bundle.params["decoder"][1][0, 2] = 7.0  # a write through a view reaches flat
-    assert bundle.flat.tobytes() == b"".join(a.tobytes() for a in bundle.arrays())
+    assert bundle.flat.tobytes() == joined()
     assert (bundle.n_genes, bundle.latent_dim) == (10, 4)
 
 
@@ -291,7 +296,7 @@ def test_identical_embeddings_and_weights_make_target_match_source(rng):
 
 def test_copy_is_deep():
     bundle = make_bundle(seed=12)
-    dup = bundle.copy()
+    dup = mdl.ModelBundle(bundle.specs, bundle.flat.copy(), bundle.seed)
     dup.params["encoder"][0][0, 0] += 1.0
     assert bundle.params["encoder"][0][0, 0] != dup.params["encoder"][0][0, 0]
 

@@ -139,7 +139,7 @@ def test_zero_learning_rate_leaves_parameters_bitwise_unchanged(rng):
         tr.build_specs(6, tiny_cfg()),
         int(np.random.SeedSequence(0).generate_state(2)[0]),
     )
-    for a, b in zip(model.arrays(), fresh.arrays()):
+    for (_, a), (_, b) in zip(model.named_arrays(), fresh.named_arrays()):
         np.testing.assert_array_equal(a, b)
 
 
@@ -198,11 +198,11 @@ def test_no_mda_run_never_touches_target(rng):
 
 
 def test_adam_zero_gradient_step_is_tiny():
-    params = [np.random.default_rng(0).normal(size=(5, 4))]
-    before = [p.copy() for p in params]
-    opt = tr.Adam(params, lr=1e-3)
-    opt.step([np.zeros((5, 4))])
-    assert np.abs(params[0] - before[0]).max() < 1e-12
+    param = np.random.default_rng(0).normal(size=(5, 4))
+    before = param.copy()
+    opt = tr.Adam(param, lr=1e-3)
+    opt.step(np.zeros((5, 4)))
+    assert np.abs(param - before).max() < 1e-12
 
 
 def test_adam_first_step_moves_each_parameter_by_lr():
@@ -213,7 +213,8 @@ def test_adam_first_step_moves_each_parameter_by_lr():
              for s in ((5, 4), (1, 3))]
     params = [rng.normal(size=g.shape) for g in grads]
     before = [p.copy() for p in params]
-    tr.Adam(params, lr=1e-3).step(grads)
+    for p, g in zip(params, grads):
+        tr.Adam(p, lr=1e-3).step(g)
     for p, b, g in zip(params, before, grads):
         np.testing.assert_allclose(b - p, 1e-3 * np.sign(g), rtol=1e-6)
 
@@ -329,7 +330,7 @@ def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
                for n, x in zip(consts, xs))
     assert all(n.needs_grad for n in tape.nodes if n not in consts)
     holders = [node for node in tape.nodes if node.grad is not None]
-    assert len(holders) == len(model.arrays()) == 20
+    assert len(holders) == len(model.named_arrays()) == 20
     assert all(node.op.endswith(".param") and not node.parents for node in holders)
     assert all(node.grad.base is grad for node in holders)
     assert sum(node.grad.nbytes for node in holders) == model.flat.nbytes == grad.nbytes
@@ -345,16 +346,17 @@ def test_adam_over_flat_is_bitwise_adam_per_array():
     bundle, cfg = sy.variant_setup("full", sb.bundle, tiny_cfg(learning_rate=1e-2))
     batches = dat.assemble_batches(bundle, cfg.batch_size, seed=0)
     flat_model = mdl.init_params(tr.build_specs(12, cfg), 4)
-    per_array = flat_model.copy()
-    flat_opt = tr.Adam([flat_model.flat], cfg.learning_rate)
-    array_opt = tr.Adam(per_array.arrays(), cfg.learning_rate)
+    per_array = mdl.ModelBundle(flat_model.specs, flat_model.flat.copy(), flat_model.seed)
+    flat_opt = tr.Adam(flat_model.flat, cfg.learning_rate)
+    array_opts = [tr.Adam(a, cfg.learning_rate) for _, a in per_array.named_arrays()]
     start = flat_model.flat.copy()
     for step in range(60):
         batch = batches[step % len(batches)]
         grad, _ = tr.train_step(flat_model, batch, cfg, 0.5)
-        flat_opt.step([grad])
+        flat_opt.step(grad)
         grad, _ = tr.train_step(per_array, batch, cfg, 0.5)
-        array_opt.step(split_grad(per_array, grad))
+        for opt, g in zip(array_opts, split_grad(per_array, grad)):
+            opt.step(g)
     assert not np.array_equal(flat_model.flat, start)
     assert flat_model.flat.tobytes() == per_array.flat.tobytes()
 
@@ -368,11 +370,11 @@ def test_paper_width_step_and_adam_stay_under_32_mb():
         y_sources=[rng.integers(0, 2, size=64) for _ in range(3)],
         x_target=rng.normal(size=(64, 500)),
     )
-    opt = tr.Adam([model.flat], cfg.learning_rate)
+    opt = tr.Adam(model.flat, cfg.learning_rate)
     tracemalloc.start()
     try:
         grad, _ = tr.train_step(model, batch, cfg, 0.5)
-        opt.step([grad])
+        opt.step(grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -675,16 +677,19 @@ def _discriminator_accuracy(model, cfg, held):
 
 def _split_bundle(bundle, n_train):
     """First n_train rows of every domain for training, the rest held out."""
-    def take(dom, rows):
-        return dat.LabeledDomain(dom.expr.subset_samples(rows), dom.labels[rows])
+    def rows_of(expr, rows):
+        return dat.ExpressionMatrix(expr.sample_ids[rows], expr.gene_names,
+                                    expr.values[rows])
 
-    n_total = bundle.sources[0].expr.n_samples
-    head, tail = range(n_train), range(n_train, n_total)
+    def take(dom, rows):
+        return dat.LabeledDomain(rows_of(dom.expr, rows), dom.labels[rows])
+
+    head, tail = slice(n_train), slice(n_train, None)
     train_b = dat.DomainBundle(
-        [take(d, head) for d in bundle.sources], bundle.target.subset_samples(head)
+        [take(d, head) for d in bundle.sources], rows_of(bundle.target, head)
     )
     held_b = dat.DomainBundle(
-        [take(d, tail) for d in bundle.sources], bundle.target.subset_samples(tail)
+        [take(d, tail) for d in bundle.sources], rows_of(bundle.target, tail)
     )
     return train_b, held_b
 
