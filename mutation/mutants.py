@@ -90,26 +90,58 @@ MUTANTS = (
     Mutant(
         "run_benchmark_seeds_checked_only_when_run",
         "src/adadrug/synth.py",
-        "replace(train_cfg, seed=int(s))",
-        "int(s)",
+        "replace(train_cfg, seed=s)",
+        "s",
         ("tests/test_synth.py::"
          "test_run_benchmark_checks_every_run_before_the_first_trains[negative_seed]",
          "tests/test_cli.py::"
-         "test_synth_bench_checks_every_run_before_the_first_trains[negative_seed]"),
+         "test_synth_bench_checks_every_run_before_the_first_trains[negative_seed]",
+         "tests/test_cli.py::test_ablate_negative_seed_exits_2_and_writes_nothing"),
+    ),
+    Mutant(
+        "grid_repeats_accepted",
+        "src/adadrug/synth.py",
+        "if len(set(items)) != len(items):",
+        "if False:",
+        ("tests/test_synth.py::"
+         "test_run_benchmark_checks_every_run_before_the_first_trains[repeated_seed]",
+         "tests/test_synth.py::"
+         "test_run_benchmark_checks_every_run_before_the_first_trains[repeated_variant]",
+         "tests/test_cli.py::"
+         "test_synth_bench_checks_every_run_before_the_first_trains[repeated_seed]",
+         "tests/test_cli.py::"
+         "test_synth_bench_checks_every_run_before_the_first_trains[repeated_variant]",
+         "tests/test_cli.py::test_ablate_repeated_seed_exits_2_and_trains_nothing"),
     ),
     Mutant(
         "ablate_out_not_passed_to_load_run",
         "src/adadrug/cli.py",
         "epochs=args.epochs, output_dir=args.out)",
         "epochs=args.epochs)",
-        ("tests/test_cli.py::test_ablate_out_is_echoed_as_output_dir_and_reloads_equal",),
+        ("tests/test_cli.py::test_ablate_out_is_echoed_as_output_dir_and_reloads_equal",
+         "tests/test_cli.py::test_empty_output_dir_flag_exits_2_and_writes_nothing[ablate]"),
+    ),
+    Mutant(
+        "flags_empty_string_taken_as_unset",
+        "src/adadrug/cli.py",
+        "return {k: v for k, v in flags.items() if v is not None}",
+        'return {k: v for k, v in flags.items() if v is not None and v != ""}',
+        ("tests/test_cli.py::test_empty_output_dir_flag_exits_2_and_writes_nothing[train]",
+         "tests/test_cli.py::test_empty_output_dir_flag_exits_2_and_writes_nothing[ablate]"),
     ),
     Mutant(
         "synth_bench_empty_seeds_taken_as_unset",
         "src/adadrug/cli.py",
-        "if args.seeds is not None else",
-        "if args.seeds else",
+        "seeds = _parse_seeds(args.seeds)\n    variants",
+        'seeds = _parse_seeds(args.seeds or "0")\n    variants',
         ("tests/test_cli.py::test_synth_bench_without_seeds_exits_2_and_writes_nothing[]",),
+    ),
+    Mutant(
+        "prep_hvg_checked_only_by_select_hvg",
+        "src/adadrug/cli.py",
+        "if args.hvg is not None and args.hvg < 1:",
+        "if False:",
+        ("tests/test_cli.py::test_prep_hvg_zero_is_data_error",),
     ),
     # -- model -------------------------------------------------------------
     Mutant(

@@ -127,12 +127,6 @@ def _set_flags(**flags):
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def train_config_from(cfg, **overrides):
-    kwargs = {k: cfg[k] for k in _TRAIN_FIELDS}
-    kwargs.update(_set_flags(**overrides))
-    return TrainConfig(**kwargs)
-
-
 def config_hash(cfg):
     return hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode("utf-8")
@@ -204,16 +198,14 @@ def load_binary_labels(path, sample_ids):
 
 def load_run(config, target_labels=None, **flags):
     """The inputs of a training run, all read and checked before anything is
-    written: ``(cfg, cfg_train, bundle, labels)``. ``cfg`` has the ``flags``
-    that are not None applied (``output_dir`` or ``TrainConfig`` fields) and
-    is what ``effective_config.json`` echoes; ``labels`` is None without a
+    written: ``(cfg, cfg_train, bundle, labels)``. The config file is
+    checked on its own, then the ``flags`` that are not None (``output_dir``
+    or ``TrainConfig`` fields) replace its keys and ``validate_config``
+    checks the result again, so a flag obeys its key's rules. ``cfg`` is what
+    ``effective_config.json`` echoes; ``labels`` is None without a
     ``target_labels`` file."""
-    cfg = load_config(config)
-    output_dir = flags.pop("output_dir", None)
-    if output_dir:
-        cfg["output_dir"] = output_dir
-    cfg_train = train_config_from(cfg, **flags)
-    cfg.update(cfg_train.to_dict())
+    cfg = validate_config({**load_config(config), **_set_flags(**flags)})
+    cfg_train = TrainConfig(**{k: cfg[k] for k in _TRAIN_FIELDS})
     bundle = load_bundle(cfg)
     labels = None
     if target_labels is not None:
@@ -244,6 +236,8 @@ def cmd_prep(args):
         raise ValueError(f"--lfc-min must be finite and >= 0, got {args.lfc_min!r}")
     if not 0.0 < args.p_max <= 1.0:
         raise ValueError(f"--p-max must be in (0, 1], got {args.p_max!r}")
+    if args.hvg is not None and args.hvg < 1:
+        raise ValueError(f"--hvg must be >= 1, got {args.hvg}")
     fmt = args.format
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)
@@ -384,14 +378,11 @@ def cmd_ablate(args):
     seeds = _parse_seeds(args.seeds)
     cfg, cfg_train, bundle, labels = load_run(args.config, args.target_labels,
                                               epochs=args.epochs, output_dir=args.out)
-    for seed in seeds:  # a bad seed fails here, before anything is written
-        dataclasses.replace(cfg_train, seed=seed)
+    rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,
+                       cfg_train)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
-    synth = sy.SynthBundle(bundle, labels)
-    rows = [sy.run_variant(synth, v, s, cfg_train)
-            for v in ABLATE_VARIANTS for s in seeds]
     sy.write_rows_csv(out / "ablation.csv", rows)
     write_json(out / "ablation_summary.json", sy.summarize(rows))
     print(f"ablation table -> {out / 'ablation.csv'}")
@@ -399,7 +390,7 @@ def cmd_ablate(args):
 
 
 def cmd_synth_bench(args):
-    seeds = _parse_seeds(args.seeds) if args.seeds is not None else [args.seed or 0]
+    seeds = _parse_seeds(args.seeds)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     synth_cfg = sy.SynthConfig(**_set_flags(
         n_sources=args.k,
@@ -506,12 +497,7 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("synth-bench", help="synthetic transfer benchmark")
-    # default None, not 0: argparse lets a value equal to the default through
-    # the exclusive group, so "--seed 0 --seeds 1,2" would lose its --seed
-    seeding = p.add_mutually_exclusive_group()
-    seeding.add_argument("--seed", type=int, default=None,
-                         help="single training seed (default 0)")
-    seeding.add_argument("--seeds", default=None, help="comma-separated training seeds")
+    p.add_argument("--seeds", default="0", help="comma-separated training seeds")
     p.add_argument("--variants", default="full,baseline,no_mda,no_ind,no_awg")
     p.add_argument("--out", default="synth_bench")
     # data flags left unset keep SynthConfig's defaults

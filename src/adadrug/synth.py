@@ -173,29 +173,32 @@ def run_variant(synth, variant, seed, train_cfg):
     return BenchmarkRow(variant, seed, report.auroc, report.aupr)
 
 
-def run_benchmark(cfg, variants, seeds, train_cfg=None):
-    """Train every (variant, seed) pair in turn and return the per-run rows.
+def run_grid(synth, variants, seeds, train_cfg):
+    """Train every (variant, seed) pair on ``synth`` in turn; the per-run rows.
 
-    Every variant and seed is checked before the first run trains, by
-    ``variant_setup`` and ``TrainConfig``, so a bad one trains nothing.
-    Rows come back in (variant order, seed order). Runs are serial: the
-    tape is bound by the interpreter lock, so threads cannot overlap them.
+    Every run is checked before the first one trains, so a bad grid trains
+    nothing: both lists must be non-empty and free of repeats, each variant
+    must pass ``variant_setup`` and each seed ``TrainConfig``. Rows come back
+    in (variant order, seed order). Runs are serial: the tape is bound by the
+    interpreter lock, so threads cannot overlap them.
     """
-    variants = list(variants)
-    seeds = list(seeds)
-    if not variants:
-        raise ValueError("variants must be non-empty")
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    if train_cfg is None:
-        train_cfg = bench_train_config()
-    synth = generate(cfg)
+    variants, seeds = list(variants), list(seeds)
+    for name, items in (("variants", variants), ("seeds", seeds)):
+        if not items:
+            raise ValueError(f"{name} must be non-empty")
+        if len(set(items)) != len(items):
+            raise ValueError(f"{name} must not repeat, got {items}")
     for v in variants:
         variant_setup(v, synth.bundle, train_cfg)
     for s in seeds:
-        replace(train_cfg, seed=int(s))
-    return [run_variant(synth, v, int(s), train_cfg)
-            for v in variants for s in seeds]
+        replace(train_cfg, seed=s)
+    return [run_variant(synth, v, s, train_cfg) for v in variants for s in seeds]
+
+
+def run_benchmark(cfg, variants, seeds, train_cfg=None):
+    """``run_grid`` on the data ``generate(cfg)`` draws, trained with
+    ``train_cfg`` or, without it, ``bench_train_config()``."""
+    return run_grid(generate(cfg), variants, seeds, train_cfg or bench_train_config())
 
 
 def summarize(rows):

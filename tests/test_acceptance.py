@@ -382,16 +382,12 @@ GDSC_LABELS = os.environ.get("ADADRUG_GDSC_TARGET_LABELS")
     reason="data-gated: set ADADRUG_GDSC_CONFIG (run config JSON for the GDSC "
            "sources + GSE108383 A375 target) and ADADRUG_GDSC_TARGET_LABELS",
 )
-def test_criterion_10_gdsc_a375(tmp_path):
-    cfg = cli.load_config(GDSC_CONFIG)
-    cfg["output_dir"] = str(tmp_path / "gdsc_run")
-    bundle = cli.load_bundle(cfg)
-    cfg_train = cli.train_config_from(cfg)
+def test_criterion_10_gdsc_a375():
+    _, cfg_train, bundle, labels = cli.load_run(GDSC_CONFIG, GDSC_LABELS)
     model, _ = tr.train(bundle, cfg_train)
     scores = ev.predict_target(
         model, bundle.target, bundle.sources if cfg_train.awg_active else None,
         ref_batch=cfg_train.ref_batch, seed=cfg_train.seed,
     )
-    labels = cli.load_binary_labels(GDSC_LABELS, bundle.target.sample_ids)
     value = ev.auroc(scores, labels)
     report(10, value >= 0.90, f"(target AUROC {value:.3f})")

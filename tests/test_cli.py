@@ -453,13 +453,49 @@ def test_ablate_out_is_echoed_as_output_dir_and_reloads_equal(tmp_path):
     assert cli.load_config(echo) == echo_doc
 
 
-def test_ablate_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+def test_ablate_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                        train_calls):
     cfg_path, _, target_labels = write_synth_files(tmp_path)
     out = tmp_path / "ablation"
     assert main(["ablate", "--config", str(cfg_path), "--target-labels",
                  str(target_labels), "--seeds", "0,-1", "--out", str(out)]) == 2
     assert "seed: must be >= 0" in capsys.readouterr().err
+    assert train_calls == []
     assert not out.exists()
+
+
+def test_ablate_repeated_seed_exits_2_and_trains_nothing(tmp_path, capsys,
+                                                         train_calls):
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--config", str(cfg_path), "--target-labels",
+                 str(target_labels), "--seeds", "0,0", "--out", str(out)]) == 2
+    assert "seeds must not repeat, got [0, 0]" in capsys.readouterr().err
+    assert train_calls == []
+    assert not out.exists()
+
+
+def test_ablate_that_fails_mid_grid_writes_nothing(tmp_path, capsys, train_calls):
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
+    out = tmp_path / "ablation"
+    # the recording train returns None, so the first run fails after training
+    assert main(["ablate", "--config", str(cfg_path), "--target-labels",
+                 str(target_labels), "--out", str(out)]) == 3
+    assert len(train_calls) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_empty_output_dir_flag_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                          train_calls, command):
+    cfg_path, _, target_labels = write_synth_files(tmp_path)
+    flag = "--output-dir" if command == "train" else "--out"
+    assert main([command, "--config", str(cfg_path), "--target-labels",
+                 str(target_labels), flag, ""]) == 2
+    assert "/output_dir: required and must be a non-empty string" in \
+        capsys.readouterr().err
+    assert train_calls == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_ablate_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -480,20 +516,14 @@ def test_synth_bench_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["5", "0"])
-def test_synth_bench_with_seed_and_seeds_exits_1_and_writes_nothing(tmp_path, capsys,
-                                                                   seed):
-    out = tmp_path / "bench"
-    assert main(["synth-bench", "--seed", seed, "--seeds", "0,1", "--variants",
-                 "baseline", "--epochs", "1", "--out", str(out)]) == 1
-    assert "--seeds: not allowed with argument --seed" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("flags,message", [
     (["--seeds", "0,-1"], "seed: must be >= 0"),
     (["--k", "1", "--variants", "full,full_2src"], "full_2src needs at least two"),
-], ids=["negative_seed", "full_2src_with_one_source"])
+    (["--seeds", "0,1,0"], "seeds must not repeat, got [0, 1, 0]"),
+    (["--variants", "baseline,full,baseline"],
+     "variants must not repeat, got ['baseline', 'full', 'baseline']"),
+], ids=["negative_seed", "full_2src_with_one_source", "repeated_seed",
+        "repeated_variant"])
 def test_synth_bench_checks_every_run_before_the_first_trains(tmp_path, capsys,
                                                              train_calls, flags,
                                                              message):
@@ -581,7 +611,7 @@ def test_synth_bench_with_a_non_finite_shift_or_noise_exits_2(tmp_path, capsys,
 def test_synth_bench_happy_path(tmp_path):
     out = tmp_path / "bench"
     rc = main([
-        "synth-bench", "--seed", "7", "--variants", "full,baseline",
+        "synth-bench", "--seeds", "7", "--variants", "full,baseline",
         "--out", str(out), "--n-per-domain", "40", "--n-target", "40",
         "--genes", "10", "--signal-dim", "3", "--epochs", "3",
         "--latent-dim", "6",
@@ -664,11 +694,14 @@ def _prep_args(config, out):
             "--target", config["target_expression"], "--out", str(out)]
 
 
-def test_prep_hvg_zero_is_data_error(tmp_path, capsys):
+def test_prep_hvg_zero_is_data_error(tmp_path, capsys, monkeypatch):
     _, config, _ = write_synth_files(tmp_path)
+    read = []
+    monkeypatch.setattr(dat, "load_expression", lambda *args: read.append(args))
     out = tmp_path / "prep"
     assert main(_prep_args(config, out) + ["--hvg", "0"]) == 2
-    assert "n must be >= 1" in capsys.readouterr().err
+    assert "--hvg must be >= 1, got 0" in capsys.readouterr().err
+    assert read == []  # refused before any input file is read
     assert not out.exists()
 
 

@@ -165,7 +165,10 @@ def test_run_benchmark_rejects_bad_variants():
 @pytest.mark.parametrize("n_sources,variants,seeds,message", [
     (3, ["full"], [0, -1], "seed: must be >= 0"),
     (1, ["full", "full_2src"], [0], "full_2src needs at least two"),
-], ids=["negative_seed", "full_2src_with_one_source"])
+    (3, ["full"], [0, 1, 0], r"seeds must not repeat, got \[0, 1, 0\]"),
+    (3, ["full", "no_mda", "full"], [0], "variants must not repeat"),
+], ids=["negative_seed", "full_2src_with_one_source", "repeated_seed",
+        "repeated_variant"])
 def test_run_benchmark_checks_every_run_before_the_first_trains(
         monkeypatch, n_sources, variants, seeds, message):
     calls = []
