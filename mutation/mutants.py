@@ -77,6 +77,25 @@ MUTANTS = (
          "tests/test_data.py::test_one_table_rule_gives_one_message[labels-empty_cell]",
          "tests/test_data.py::test_one_table_rule_gives_one_message[scores-non_finite]"),
     ),
+    Mutant(
+        "parse_errors_do_not_name_their_file",
+        "src/adadrug/data.py",
+        'raise ParseError(f"{path}: {e}") from None',
+        "raise",
+        ("tests/test_cli.py::test_a_bad_cell_in_the_second_source_names_its_file",
+         "tests/test_data.py::test_gene_list_refuses_a_repeated_gene_naming_its_line",
+         "tests/test_data.py::test_one_table_rule_gives_one_message[labels-blank_lines_only]"),
+    ),
+    Mutant(
+        "align_genes_ignores_list_order",
+        "src/adadrug/data.py",
+        "(matrices[0].gene_names if genes is None else genes)",
+        "(matrices[0].gene_names if genes is None else\n"
+        "                [g for g in matrices[0].gene_names if g in genes])",
+        ("tests/test_data.py::"
+         "test_align_to_a_gene_list_keeps_its_order_and_only_shared_genes",
+         "tests/test_cli.py::test_train_with_gene_list_uses_the_listed_genes_in_list_order"),
+    ),
     # -- run inputs ----------------------------------------------------------
     Mutant(
         "one_class_target_labels_accepted",
@@ -86,6 +105,32 @@ MUTANTS = (
         tuple(f"tests/test_cli.py::"
               f"test_bad_target_labels_exit_2_before_training_or_writing[one_class-{c}]"
               for c in ("train", "ablate")),
+    ),
+    Mutant(
+        "missing_label_does_not_name_its_file",
+        "src/adadrug/cli.py",
+        'raise ValueError(f"{path}: {e}") from None',
+        "raise",
+        ("tests/test_cli.py::test_a_source_sample_without_a_label_names_the_labels_file",
+         "tests/test_cli.py::"
+         "test_bad_target_labels_exit_2_before_training_or_writing[other_ids-train]",
+         "tests/test_cli.py::"
+         "test_bad_target_labels_exit_2_before_training_or_writing[other_ids-ablate]"),
+    ),
+    Mutant(
+        "prep_writes_selection_order",
+        "src/adadrug/cli.py",
+        "genes = [g for g in exprs[0].gene_names if g in keep]",
+        "genes = selection.genes",
+        ("tests/test_cli.py::test_prep_gene_list_writes_the_first_source_order",),
+    ),
+    Mutant(
+        "synth_rules_skip_seed",
+        "src/adadrug/synth.py",
+        '(("shift", "noise", "seed"), lambda v: v >= 0, ">= 0"),',
+        '(("shift", "noise"), lambda v: v >= 0, ">= 0"),',
+        ("tests/test_synth.py::test_config_rule_names_its_field[seed]",
+         "tests/test_synth.py::test_config_refuses_a_negative_seed_and_stores_floats"),
     ),
     Mutant(
         "run_benchmark_seeds_checked_only_when_run",
@@ -132,9 +177,18 @@ MUTANTS = (
     Mutant(
         "synth_bench_empty_seeds_taken_as_unset",
         "src/adadrug/cli.py",
-        "seeds = _parse_seeds(args.seeds)\n    variants",
-        'seeds = _parse_seeds(args.seeds or "0")\n    variants',
+        'seeds = _comma_list("--seeds", args.seeds, int)\n    variants',
+        'seeds = _comma_list("--seeds", args.seeds or "0", int)\n    variants',
         ("tests/test_cli.py::test_synth_bench_without_seeds_exits_2_and_writes_nothing[]",),
+    ),
+    Mutant(
+        "synth_bench_variants_parsed_without_naming_the_flag",
+        "src/adadrug/cli.py",
+        'variants = _comma_list("--variants", args.variants, str)',
+        'variants = [v.strip() for v in args.variants.split(",") if v.strip()]',
+        tuple(f"tests/test_cli.py::"
+              f"test_synth_bench_without_variants_exits_2_naming_the_flag[{i}]"
+              for i in ("comma", "blank", "empty")),
     ),
     Mutant(
         "prep_hvg_checked_only_by_select_hvg",

@@ -165,32 +165,31 @@ def write_expression(path, expr, fmt="csv"):
 
 
 def load_bundle(cfg):
-    """Load, label, optionally restrict, and gene-align the configured data."""
+    """Load, label and gene-align the configured data (in ``gene_list`` order
+    if one is set)."""
     fmt = cfg["file_format"]
     exprs = [dat.load_expression(s["expression"], fmt) for s in cfg["sources"]]
     target = dat.load_expression(cfg["target_expression"], fmt)
-    if cfg["gene_list"]:
-        wanted = dat.load_gene_list(cfg["gene_list"])
-        restricted = []
-        for e in exprs + [target]:
-            have = set(e.gene_names)
-            genes = [g for g in wanted if g in have]
-            if not genes:
-                raise ValueError("gene_list shares no genes with an input matrix")
-            restricted.append(e.subset_genes(genes))
-        exprs, target = restricted[:-1], restricted[-1]
-    aligned = dat.align_genes(exprs + [target])
-    sources = []
-    for s, expr in zip(cfg["sources"], aligned[:-1]):
-        labels = dat.labels_for(expr.sample_ids, *dat.load_labels(s["labels"]))
-        sources.append(dat.LabeledDomain(expr, labels))
+    genes = dat.load_gene_list(cfg["gene_list"]) if cfg["gene_list"] else None
+    aligned = dat.align_genes(exprs + [target], genes)
+    sources = [dat.LabeledDomain(expr, read_labels(s["labels"], expr.sample_ids))
+               for s, expr in zip(cfg["sources"], aligned[:-1])]
     return dat.DomainBundle(sources, aligned[-1])
+
+
+def read_labels(path, sample_ids):
+    """``data.labels_for`` on the labels file at ``path``; an error names it."""
+    ids, values, kind = dat.load_labels(path)
+    try:
+        return dat.labels_for(sample_ids, ids, values, kind)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_binary_labels(path, sample_ids):
     """The target labels of ``sample_ids`` from a labels file. Every caller
     scores AUROC against them, so a file without both classes is refused."""
-    labels = dat.labels_for(sample_ids, *dat.load_labels(path))
+    labels = read_labels(path, sample_ids)
     if np.unique(labels).size != 2:
         raise ValueError(f"{path}: target labels must hold both classes (0 and 1)")
     return labels
@@ -261,17 +260,11 @@ def cmd_prep(args):
         selection = dat.select_deg(ga, gb, lfc_min=args.lfc_min, p_max=args.p_max)
         if not selection.genes:
             raise ValueError("DEG selection is empty at these thresholds")
-    if selection is not None:
+    genes = None
+    if selection is not None:  # written in the first source's order
         keep = set(selection.genes)
-        restricted = []
-        for e in exprs + [target]:
-            genes = [g for g in e.gene_names if g in keep]
-            if not genes:
-                raise ValueError("gene selection shares no genes with an input matrix")
-            restricted.append(e.subset_genes(genes))
-        exprs, target = restricted[:-1], restricted[-1]
-
-    aligned = dat.align_genes(exprs + [target])
+        genes = [g for g in exprs[0].gene_names if g in keep]
+    aligned = dat.align_genes(exprs + [target], genes)
 
     if args.pathways:
         gene_sets = dat.load_gene_sets(args.pathways)
@@ -364,18 +357,21 @@ def cmd_evaluate(args):
     return 0
 
 
-def _parse_seeds(text):
+def _comma_list(flag, text, item):
+    """``flag``'s comma-separated items, each read by ``item``; none, or a bad
+    one, is an error naming ``flag``."""
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+        items = [item(s.strip()) for s in text.split(",") if s.strip()]
     except ValueError:
-        seeds = []
-    if not seeds:
-        raise ValueError(f"--seeds must list comma-separated integers, got {text!r}")
-    return seeds
+        items = []
+    if not items:
+        kind = "integers" if item is int else "names"
+        raise ValueError(f"{flag} must list comma-separated {kind}, got {text!r}")
+    return items
 
 
 def cmd_ablate(args):
-    seeds = _parse_seeds(args.seeds)
+    seeds = _comma_list("--seeds", args.seeds, int)
     cfg, cfg_train, bundle, labels = load_run(args.config, args.target_labels,
                                               epochs=args.epochs, output_dir=args.out)
     rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,
@@ -390,8 +386,8 @@ def cmd_ablate(args):
 
 
 def cmd_synth_bench(args):
-    seeds = _parse_seeds(args.seeds)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    seeds = _comma_list("--seeds", args.seeds, int)
+    variants = _comma_list("--variants", args.variants, str)
     synth_cfg = sy.SynthConfig(**_set_flags(
         n_sources=args.k,
         n_per_domain=args.n_per_domain,

@@ -16,7 +16,7 @@ errors name the line. Each loader checks only its header. A row's value cells
 are parsed in one ``float`` pass; only a row that pass refuses goes cell by
 cell through ``_parse_cell``, which gives the same values and names the bad
 cell. Text inputs are read through ``open_text``: UTF-8, with or without a
-byte-order mark; a file that is not UTF-8 raises ``ParseError`` naming it.
+byte-order mark; every ``ParseError`` starts with its file (``path: line N``).
 """
 
 import csv
@@ -31,8 +31,8 @@ from . import kernels
 
 
 class ParseError(ValueError):
-    """Malformed input file; message carries the 1-based line number, or the
-    path of a file that is not UTF-8 text."""
+    """Malformed input file; the message starts with the file's path, then
+    the 1-based line number where one applies."""
 
 
 @dataclass
@@ -143,14 +143,16 @@ DELIMS = {"csv": ",", "tsv": "\t"}  # every table file format, by name
 
 @contextmanager
 def open_text(path, newline=None):
-    """Open a text input as UTF-8, skipping a byte-order mark. Bytes that do
-    not decode raise ``ParseError`` naming the file (the decoder's offset is
-    into its read buffer, not the file, so it is not reported)."""
+    """Open a text input as UTF-8, skipping a byte-order mark. A ``ParseError``
+    raised in the block gets the path in front. Undecodable bytes raise one
+    naming only the file: the decoder's offset is into its read buffer."""
     with open(path, newline=newline, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text; save it as UTF-8") from None
+        except ParseError as e:
+            raise ParseError(f"{path}: {e}") from None
 
 
 def _parse_cell(text, line_num, what):
@@ -212,8 +214,8 @@ def read_table(path, delim, check_header, what):
                 if row[j - 1] not in (0.0, 1.0):
                     raise ParseError(f"line {line}: label must be 0 or 1, got {rec[j]!r}")
             rows.append(row)
-    if not ids:
-        raise ParseError(f"line 2: no {what} rows")
+        if not ids:
+            raise ParseError(f"line 2: no {what} rows")
     return header, ids, np.array(rows, dtype=np.float64)
 
 
@@ -279,8 +281,8 @@ def load_gene_list(path):
                 raise ParseError(f"line {i}: duplicate gene {gene!r}")
             if gene:
                 genes[gene] = None
-    if not genes:
-        raise ParseError("gene list file is empty")
+        if not genes:
+            raise ParseError("gene list file is empty")
     return list(genes)
 
 
@@ -300,8 +302,8 @@ def load_gene_sets(path):
             if parts[0].strip() in sets:
                 raise ParseError(f"line {i}: duplicate gene set name {parts[0]!r}")
             sets[parts[0].strip()] = genes
-    if not sets:
-        raise ParseError("gene set file is empty")
+        if not sets:
+            raise ParseError("gene set file is empty")
     return sets
 
 
@@ -309,16 +311,19 @@ def load_gene_sets(path):
 # alignment, labels, gene selection
 # ---------------------------------------------------------------------------
 
-def align_genes(matrices):
-    """Restrict all matrices to their common genes, ordered as in the first."""
+def align_genes(matrices, genes=None):
+    """Restrict all matrices to the genes all of them have: only those in
+    ``genes``, in its order, if given, else in the first matrix's order."""
     if len(matrices) < 2:
         raise ValueError("align_genes needs at least two matrices")
     common = set(matrices[0].gene_names)
     for m in matrices[1:]:
         common &= set(m.gene_names)
-    if not common:
-        raise ValueError("gene intersection is empty")
-    ordered = [g for g in matrices[0].gene_names if g in common]
+    ordered = [g for g in (matrices[0].gene_names if genes is None else genes)
+               if g in common]
+    if not ordered:
+        raise ValueError("gene intersection is empty" if genes is None else
+                         "gene intersection holds none of the selected genes")
     return [m.subset_genes(ordered) for m in matrices]
 
 

@@ -7,7 +7,7 @@ target labels live outside the DomainBundle, so training code cannot see
 them by construction.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -17,6 +17,14 @@ from . import evaluate as ev
 from . import train as tr
 
 VARIANTS = ("full", "baseline", "no_mda", "no_ind", "no_awg", "full_2src")
+
+# (fields, test, requirement) for train.check_fields, as TrainConfig's rules
+_SYNTH_RULES = (
+    (("n_sources", "n_per_domain", "n_target", "n_genes", "signal_dim"),
+     lambda v: v >= 1, ">= 1"),
+    (("shift", "noise", "seed"), lambda v: v >= 0, ">= 0"),
+    (("pos_rate",), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+)
 
 
 @dataclass(frozen=True)
@@ -32,22 +40,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # NaN fails both comparisons, so it is refused with infinity; numbers
-        # are checked before the types, so a non-finite one gets this message
-        if any(isinstance(v, (int, float)) and not 0.0 <= v < np.inf
-               for v in (self.shift, self.noise)):
-            raise ValueError("shift and noise must be finite and >= 0")
-        for f in fields(self):  # frozen: a float field stores its coerced value
-            object.__setattr__(self, f.name, tr._typed(f.name, f.type,
-                                                       getattr(self, f.name)))
-        counts = (self.n_sources, self.n_per_domain, self.n_target,
-                  self.n_genes, self.signal_dim)
-        if any(c < 1 for c in counts):
-            raise ValueError("all counts must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0.0 < self.pos_rate < 1.0:
-            raise ValueError("pos_rate must be in (0, 1)")
+        tr.check_fields(self, _SYNTH_RULES)
 
 
 @dataclass

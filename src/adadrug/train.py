@@ -55,6 +55,18 @@ def _typed(name, kind, value):
     return value
 
 
+def check_fields(obj, rules):
+    """Coerce each field of dataclass ``obj`` with ``_typed`` (set through
+    ``object.__setattr__``, so a frozen one works too), then apply each
+    ``(fields, test, requirement)`` rule; a violation names its field."""
+    for f in dataclasses.fields(obj):
+        object.__setattr__(obj, f.name, _typed(f.name, f.type, getattr(obj, f.name)))
+    for names, ok, requirement in rules:
+        for name in names:
+            if not ok(getattr(obj, name)):
+                raise ValueError(f"{name}: must be {requirement}")
+
+
 # (fields, test, requirement): every range and choice a TrainConfig obeys
 _FIELD_RULES = (
     (("latent_dim", "encoder_hidden", "disc_hidden", "pred_hidden", "batch_size",
@@ -96,15 +108,8 @@ class TrainConfig:
     ref_batch: int = 128  # inference-time references per source domain
 
     def __post_init__(self):
-        # the one place where a training field's type, range and allowed values
-        # are checked; config files, CLI flags, checkpoints and library callers
-        # all come through here
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
-        for names, ok, requirement in _FIELD_RULES:
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name}: must be {requirement}")
+        # config files, CLI flags, checkpoints and library callers all come here
+        check_fields(self, _FIELD_RULES)
 
     @property
     def awg_active(self):

@@ -140,7 +140,15 @@ UNFUSED = {"dense": unfused_dense, "sq_err_mean": unfused_sq_err_mean,
 def per_cell_read_table(path, delim, check_header, what):
     """``data.read_table`` with every value cell parsed by ``data._parse_cell``,
     as it was before rows were parsed in one ``float`` pass; the reference
-    its values and ``ParseError`` messages are compared against."""
+    its values and ``ParseError`` messages (``path: line N: ...``) are
+    compared against."""
+    try:
+        return _per_cell_read_table(path, delim, check_header, what)
+    except dat.ParseError as e:
+        raise dat.ParseError(f"{path}: {e}") from None
+
+
+def _per_cell_read_table(path, delim, check_header, what):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delim)
         header = next(reader, None)

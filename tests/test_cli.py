@@ -418,7 +418,8 @@ def test_bad_target_labels_exit_2_before_training_or_writing(tmp_path, capsys,
     assert main([command, "--config", str(cfg_path), "--target-labels", str(path),
                  *args]) == 2
     err = capsys.readouterr().err
-    assert ("no label for samples" if labels == "other_ids" else str(path)) in err
+    assert (f"{path}: no label for samples" if labels == "other_ids"
+            else str(path)) in err
     assert train_calls == []
     assert not out.exists() and not (tmp_path / "run").exists()
 
@@ -516,6 +517,17 @@ def test_synth_bench_without_seeds_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variants", [",", " , ", ""], ids=["comma", "blank", "empty"])
+def test_synth_bench_without_variants_exits_2_naming_the_flag(tmp_path, capsys,
+                                                              train_calls, variants):
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--variants", variants, "--out", str(out)]) == 2
+    assert (f"error: --variants must list comma-separated names, got {variants!r}"
+            in capsys.readouterr().err)
+    assert train_calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--seeds", "0,-1"], "seed: must be >= 0"),
     (["--k", "1", "--variants", "full,full_2src"], "full_2src needs at least two"),
@@ -568,8 +580,33 @@ def test_train_with_gene_list_sharing_no_gene_exits_2(tmp_path, capsys):
     gene_list.write_text("absent\nalso_absent\n")
     cfg_path.write_text(json.dumps(dict(config, gene_list=str(gene_list))))
     assert main(["train", "--config", str(cfg_path)]) == 2
-    assert "gene_list shares no genes" in capsys.readouterr().err
+    assert "gene intersection holds none of the selected genes" in \
+        capsys.readouterr().err
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def test_a_bad_cell_in_the_second_source_names_its_file(tmp_path, capsys, train_calls):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    path = Path(config["sources"][1]["expression"])
+    lines = path.read_text().splitlines(keepends=True)
+    sid, _, values = lines[2].partition(",")
+    lines[2] = f"{sid},x,{values.split(',', 1)[1]}"
+    path.write_text("".join(lines))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"error: {path}: line 3: non-numeric value 'x'" in capsys.readouterr().err
+    assert train_calls == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_source_sample_without_a_label_names_the_labels_file(tmp_path, capsys,
+                                                               train_calls):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    path = Path(config["sources"][1]["labels"])
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"error: {path}: no label for samples: " in capsys.readouterr().err
+    assert train_calls == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
@@ -579,7 +616,7 @@ def test_train_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
     gene_list.write_text("g3\ng5\ng3\n")
     cfg_path.write_text(json.dumps(dict(config, gene_list=str(gene_list))))
     assert main(["train", "--config", str(cfg_path)]) == 2
-    assert "error: line 3: duplicate gene 'g3'" in capsys.readouterr().err
+    assert f"error: {gene_list}: line 3: duplicate gene 'g3'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -604,7 +641,7 @@ def test_synth_bench_with_a_non_finite_shift_or_noise_exits_2(tmp_path, capsys,
     out = tmp_path / "bench"
     assert main(["synth-bench", "--variants", "baseline", "--epochs", "1",
                  "--out", str(out), flag, value]) == 2
-    assert "error: shift and noise must be finite and >= 0" in capsys.readouterr().err
+    assert f"error: {flag[2:]}: must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -761,8 +798,25 @@ def test_prep_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
     gene_list.write_text("g3\ng5\ng3\n")
     out = tmp_path / "prep"
     assert main(_prep_args(config, out) + ["--gene-list", str(gene_list)]) == 2
-    assert "error: line 3: duplicate gene 'g3'" in capsys.readouterr().err
+    assert f"error: {gene_list}: line 3: duplicate gene 'g3'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_prep_gene_list_writes_the_first_source_order(tmp_path):
+    _, config, _ = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g5\ng1\nabsent\ng7\ng3\n")
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out) + ["--gene-list", str(gene_list)]) == 0
+    kept = ["g1", "g3", "g5", "g7"]
+    inputs = {"source_0.csv": config["sources"][0]["expression"],
+              "source_1.csv": config["sources"][1]["expression"],
+              "target.csv": config["target_expression"]}
+    for name, path in inputs.items():
+        written = dat.load_expression(out / name)
+        assert written.gene_names == kept
+        assert written.values.tobytes() == \
+            dat.load_expression(path).subset_genes(kept).values.tobytes()
 
 
 @pytest.mark.parametrize("fmt,delim", [("csv", ","), ("tsv", "\t")])

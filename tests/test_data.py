@@ -99,7 +99,8 @@ def test_gene_list_and_sets(tmp_path):
 
 def test_gene_list_refuses_a_repeated_gene_naming_its_line(tmp_path):
     p = write(tmp_path, "genes.txt", "g3\ng5\n\ng3\n")
-    with pytest.raises(dat.ParseError, match=r"^line 4: duplicate gene 'g3'$"):
+    with pytest.raises(dat.ParseError,
+                       match=rf"^{re.escape(str(p))}: line 4: duplicate gene 'g3'$"):
         dat.load_gene_list(p)
 
 
@@ -129,7 +130,7 @@ def test_one_table_rule_gives_one_message(tmp_path, reader, rows, message):
     path = write(tmp_path, "table.csv", header + "\n" + rows)
     with pytest.raises(dat.ParseError) as err:
         load(path)
-    assert str(err.value) == message.format(col=col, rows=what)
+    assert str(err.value) == f"{path}: " + message.format(col=col, rows=what)
 
 
 def test_a_gene_named_label_takes_any_number(tmp_path):
@@ -322,6 +323,24 @@ def test_align_disjoint_errors():
     b = _expr(["s2"], ["B"], [[2.0]])
     with pytest.raises(ValueError, match="intersection"):
         dat.align_genes([a, b])
+
+
+def test_align_to_a_gene_list_keeps_its_order_and_only_shared_genes():
+    a = _expr(["s1"], ["A", "B", "C", "D"], [[1.0, 2.0, 3.0, 4.0]])
+    b = _expr(["s2"], ["D", "C", "A"], [[40.0, 30.0, 10.0]])
+    # B is in the first matrix only, X in neither, D in both but not listed
+    out = dat.align_genes([a, b], ["C", "B", "X", "A"])
+    assert [m.gene_names for m in out] == [["C", "A"], ["C", "A"]]
+    np.testing.assert_array_equal(out[0].values, [[3.0, 1.0]])
+    np.testing.assert_array_equal(out[1].values, [[30.0, 10.0]])
+
+
+def test_align_to_a_gene_list_without_a_common_listed_gene_errors():
+    # each matrix has a listed gene, but none is in both
+    a = _expr(["s1"], ["A", "B"], [[1.0, 2.0]])
+    b = _expr(["s2"], ["A", "C"], [[3.0, 4.0]])
+    with pytest.raises(ValueError, match="^gene intersection holds none"):
+        dat.align_genes([a, b], ["B", "C"])
 
 
 def test_align_is_idempotent(rng):

@@ -35,8 +35,24 @@ def test_config_refuses_a_wrongly_typed_field_naming_it(field, value):
         sy.SynthConfig(**{field: value})
 
 
+# one violation per field: (field, value, the requirement its message states)
+RULE_CASES = [
+    ("n_sources", 0, ">= 1"), ("n_per_domain", 0, ">= 1"), ("n_target", 0, ">= 1"),
+    ("n_genes", 0, ">= 1"), ("signal_dim", 0, ">= 1"), ("shift", -0.5, ">= 0"),
+    ("noise", -1, ">= 0"), ("seed", -1, ">= 0"), ("pos_rate", 1.0, "in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("field,value,requirement", RULE_CASES,
+                         ids=[case[0] for case in RULE_CASES])
+def test_config_rule_names_its_field(field, value, requirement):
+    with pytest.raises(ValueError) as err:
+        sy.SynthConfig(**{field: value})
+    assert str(err.value) == f"{field}: must be {requirement}"
+
+
 def test_config_refuses_a_negative_seed_and_stores_floats():
-    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+    with pytest.raises(ValueError, match="^seed: must be >= 0$"):
         sy.SynthConfig(seed=-1)
     cfg = sy.SynthConfig(shift=1, noise=0)
     assert (type(cfg.shift), type(cfg.noise)) == (float, float)
