@@ -197,6 +197,27 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py::test_prep_hvg_zero_is_data_error",),
     ),
+    Mutant(
+        "config_errors_do_not_name_their_file",
+        "src/adadrug/cli.py",
+        'raise ConfigError(f"{path}: {e}") from None',
+        "raise",
+        ("tests/test_cli.py::test_config_file_errors_name_the_file[schema]",),
+    ),
+    Mutant(
+        "pathways_error_does_not_name_its_file",
+        "src/adadrug/cli.py",
+        'raise ValueError(f"{args.pathways}: {e}") from None',
+        "raise",
+        ("tests/test_cli.py::test_prep_pathways_report_dropped_sets_and_name_the_file",),
+    ),
+    Mutant(
+        "predict_reads_the_labels_files",
+        "src/adadrug/cli.py",
+        "sources, target = load_matrices(cfg)  # scoring reads no labels",
+        "bundle = load_bundle(cfg); sources, target = bundle.sources, bundle.target",
+        ("tests/test_cli.py::test_predict_reads_no_labels_file",),
+    ),
     # -- model -------------------------------------------------------------
     Mutant(
         "he_init_on_fan_out",
@@ -245,6 +266,23 @@ MUTANTS = (
          "tests/test_autodiff.py::test_quadratic_gradient",
          "tests/test_train.py::test_train_step_tape_budget[full-89]"),
     ),
+    Mutant(
+        "train_step_keeps_its_tape",
+        "src/adadrug/train.py",
+        "tape.nodes.clear()",
+        "pass",
+        ("tests/test_train.py::test_train_step_tape_budget[full-89]",
+         "tests/test_train.py::test_train_step_tape_budget[no_mda-52]",
+         "tests/test_train.py::test_train_step_tape_budget[baseline-45]",
+         "tests/test_train.py::test_train_leaves_no_cyclic_garbage"),
+    ),
+    Mutant(
+        "train_hands_the_freed_heap_back",
+        "src/adadrug/train.py",
+        "mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)",
+        "None",
+        ("tests/test_train.py::test_a_warm_training_run_takes_no_new_pages",),
+    ),
     # -- checkpoints -------------------------------------------------------
     Mutant(
         "checkpoint_checksum_not_compared",
@@ -280,8 +318,8 @@ MUTANTS = (
     Mutant(
         "cli_scores_every_run_weighted",
         "src/adadrug/cli.py",
-        "sources = bundle.sources if cfg_train.awg_active else None",
-        "sources = bundle.sources",
+        "refs = sources if cfg_train.awg_active else None",
+        "refs = sources",
         ("tests/test_cli.py::test_only_a_run_whose_generator_trained_is_scored_weighted",),
     ),
     Mutant(

@@ -4,6 +4,12 @@ Every value in the graph is a 2-D ``numpy.float64`` array. Operations append
 ``Node`` objects to a ``Tape`` in creation order, which is by construction a
 valid topological order; ``backward`` walks it once in reverse.
 
+Every node refers to its tape and the tape lists every node, so a graph is a
+reference cycle. Whoever builds a tape empties it (``tape.nodes.clear()``)
+when done with the graph; reference counting then frees the nodes and their
+arrays at once instead of leaving them to Python's cyclic collector.
+``backward`` does not empty it, so a caller can still read the graph after.
+
 Gradient contract: only ``Tape.leaf`` nodes hold a ``Node.grad`` buffer,
 the caller's ``grad`` array (training passes views of one vector laid out
 like ``ModelBundle.flat``) or a zeroed one of their own; ``Tape.const``
@@ -71,7 +77,11 @@ class Node:
 
 
 class Tape:
-    """Ordered record of nodes; creation order doubles as topological order."""
+    """Ordered record of nodes; creation order doubles as topological order.
+
+    Each recorded node holds the tape, so the builder empties ``nodes`` once
+    it has read what it needs; ``train.train_step`` does so after reading the
+    loss parts."""
 
     def __init__(self):
         self.nodes = []

@@ -36,7 +36,9 @@ class UsageError(Exception):
 
 
 class ConfigError(ValueError):
-    """Config schema violation; message starts with a JSON-pointer path."""
+    """Config schema violation. The message starts with a JSON-pointer path;
+    one raised by ``load_config`` has the config file's path in front
+    (``run.json: /seed: must be >= 0``)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,14 +114,17 @@ def validate_config(doc):
 
 
 def load_config(path):
+    """``validate_config`` on the JSON file at ``path``; every error names it."""
     try:
         with dat.open_text(path) as fh:
             doc = json.load(fh)
-    except dat.ParseError as e:
-        raise ConfigError(f"/: {e}") from None
+        return validate_config(doc)
+    except dat.ParseError as e:  # open_text's message already names the file
+        raise ConfigError(str(e)) from None
     except json.JSONDecodeError as e:
-        raise ConfigError(f"/: not valid JSON ({e})") from None
-    return validate_config(doc)
+        raise ConfigError(f"{path}: /: not valid JSON ({e})") from None
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _set_flags(**flags):
@@ -164,17 +169,23 @@ def write_expression(path, expr, fmt="csv"):
                      + delim.join(map(repr, row.tolist())) + "\n")
 
 
-def load_bundle(cfg):
-    """Load, label and gene-align the configured data (in ``gene_list`` order
-    if one is set)."""
+def load_matrices(cfg):
+    """The configured expression matrices, gene-aligned (in ``gene_list``
+    order if one is set): ``(sources, target)``. No labels file is read."""
     fmt = cfg["file_format"]
     exprs = [dat.load_expression(s["expression"], fmt) for s in cfg["sources"]]
     target = dat.load_expression(cfg["target_expression"], fmt)
     genes = dat.load_gene_list(cfg["gene_list"]) if cfg["gene_list"] else None
     aligned = dat.align_genes(exprs + [target], genes)
+    return aligned[:-1], aligned[-1]
+
+
+def load_bundle(cfg):
+    """``load_matrices``, each source labelled from its labels file."""
+    exprs, target = load_matrices(cfg)
     sources = [dat.LabeledDomain(expr, read_labels(s["labels"], expr.sample_ids))
-               for s, expr in zip(cfg["sources"], aligned[:-1])]
-    return dat.DomainBundle(sources, aligned[-1])
+               for s, expr in zip(cfg["sources"], exprs)]
+    return dat.DomainBundle(sources, target)
 
 
 def read_labels(path, sample_ids):
@@ -212,10 +223,11 @@ def load_run(config, target_labels=None, **flags):
     return cfg, cfg_train, bundle, labels
 
 
-def _score_bundle(model, cfg_train, bundle, seed):
-    """Target scores and the embeddings they were scored from."""
-    sources = bundle.sources if cfg_train.awg_active else None
-    z = ev.embed_target(model, bundle.target, sources, cfg_train.ref_batch, seed)
+def _score_target(model, cfg_train, sources, target, seed):
+    """Target scores and the embeddings they were scored from; the sources
+    weight them only for a run whose generator trained."""
+    refs = sources if cfg_train.awg_active else None
+    z = ev.embed_target(model, target, refs, cfg_train.ref_batch, seed)
     return mdl.predict(model, z).ravel(), z
 
 
@@ -268,7 +280,15 @@ def cmd_prep(args):
 
     if args.pathways:
         gene_sets = dat.load_gene_sets(args.pathways)
-        aligned = [dat.pathway_activity(e, gene_sets) for e in aligned]
+        try:
+            aligned = [dat.pathway_activity(e, gene_sets) for e in aligned]
+        except ValueError as e:
+            raise ValueError(f"{args.pathways}: {e}") from None
+        kept = set(aligned[-1].gene_names)  # the matrices share one gene list
+        dropped = [name for name in gene_sets if name not in kept]
+        if dropped:
+            print(f"{args.pathways}: dropped {len(dropped)} gene sets that share no "
+                  f"gene with the matrices: {', '.join(dropped)}", file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,7 +334,8 @@ def cmd_train(args):
         "final_loss": dataclasses.asdict(history.parts[-1]),
     }
     if labels is not None:
-        scores, _ = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
+        scores, _ = _score_target(model, cfg_train, bundle.sources, bundle.target,
+                                  cfg_train.seed)
         metrics.update(dataclasses.asdict(ev.metrics_report(scores, labels)))
         ev.write_scores_csv(out / "scores.csv", bundle.target.sample_ids,
                             scores, labels)
@@ -328,16 +349,16 @@ def cmd_predict(args):
     model, cfg_train, _ = tr.load_checkpoint(args.checkpoint)
     if args.seed is not None:  # TrainConfig checks the seed, as it does in ablate
         cfg_train = dataclasses.replace(cfg_train, seed=args.seed)
-    bundle = load_bundle(cfg)
-    if bundle.target.n_genes != model.n_genes:
+    sources, target = load_matrices(cfg)  # scoring reads no labels
+    if target.n_genes != model.n_genes:
         raise ValueError(
-            f"configured data has {bundle.target.n_genes} genes but the "
+            f"configured data has {target.n_genes} genes but the "
             f"checkpoint expects {model.n_genes}"
         )
-    scores, z = _score_bundle(model, cfg_train, bundle, cfg_train.seed)
-    ev.write_scores_csv(args.out, bundle.target.sample_ids, scores)
+    scores, z = _score_target(model, cfg_train, sources, target, cfg_train.seed)
+    ev.write_scores_csv(args.out, target.sample_ids, scores)
     if args.embeddings:
-        ev.write_embeddings_csv(args.embeddings, bundle.target.sample_ids, z)
+        ev.write_embeddings_csv(args.embeddings, target.sample_ids, z)
     print(f"scored {len(scores)} target samples -> {args.out}")
     return 0
 

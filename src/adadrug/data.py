@@ -20,7 +20,6 @@ byte-order mark; every ``ParseError`` starts with its file (``path: line N``).
 """
 
 import csv
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -576,7 +575,8 @@ def pathway_activity(expr, gene_sets):
     """Per-sample pathway activities: mean z-score of member genes.
 
     Gene z-scores use the population std across samples (constant genes get
-    z = 0). Sets with no genes in ``expr`` are dropped with a warning.
+    z = 0). Sets with no genes in ``expr`` are dropped: the result's
+    ``gene_names`` lists the sets kept.
     """
     mu = expr.values.mean(axis=0)
     sd = expr.values.std(axis=0)
@@ -585,11 +585,9 @@ def pathway_activity(expr, gene_sets):
     names, cols = [], []
     for name, genes in gene_sets.items():
         idx = [col[g] for g in genes if g in col]
-        if not idx:
-            warnings.warn(f"gene set {name!r} shares no genes with the matrix; dropped")
-            continue
-        names.append(name)
-        cols.append(z[:, idx].mean(axis=1))
+        if idx:
+            names.append(name)
+            cols.append(z[:, idx].mean(axis=1))
     if not names:
         raise ValueError("no gene set overlaps the expression matrix")
     return ExpressionMatrix(expr.sample_ids, names, np.column_stack(cols))

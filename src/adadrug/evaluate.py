@@ -116,7 +116,8 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     For each target embedding, weights are generated against ``ref_batch``
     reference samples drawn per source domain (deterministic in ``seed``)
     and averaged over all of them, mirroring the mean weight the target
-    side receives during training.
+    side receives during training. A source is an ``ExpressionMatrix`` or
+    a ``LabeledDomain``, whose labels are not read.
 
     Target rows are scored in blocks of as many whole rows as fit in
     ``GAP_ROW_BUDGET`` gap rows (at least one): a block's gap rows
@@ -130,8 +131,9 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     rng = np.random.default_rng(seed)
     h_refs = []
     for dom in sources:
-        rows = _reference_rows(dom.expr.n_samples, ref_batch, rng)
-        h_refs.append(mdl.encode(bundle, dom.expr.values[rows]))
+        expr = dom.expr if isinstance(dom, dat.LabeledDomain) else dom
+        rows = _reference_rows(expr.n_samples, ref_batch, rng)
+        h_refs.append(mdl.encode(bundle, expr.values[rows]))
     h_ref = np.vstack(h_refs)
     n, d = h_target.shape
     m = len(h_ref)

@@ -127,7 +127,20 @@ def test_adam_beta_of_one_is_config_error_and_writes_nothing(tmp_path, capsys):
 def test_negative_seed_flag_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg_path, _, _ = write_synth_files(tmp_path)
     assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
-    assert "seed: must be >= 0" in capsys.readouterr().err
+    # the flag is at fault, not the config file, so the message names no file
+    assert capsys.readouterr().err == "error: /seed: must be >= 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: json.dumps(doc)[:-1], "/: not valid JSON ("),
+    (lambda doc: json.dumps({**doc, "seed": -1}), "/seed: must be >= 0\n"),
+], ids=["truncated", "schema"])
+def test_config_file_errors_name_the_file(tmp_path, capsys, edit, message):
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    cfg_path.write_text(edit(config))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
     assert not (tmp_path / "run").exists()
 
 
@@ -391,6 +404,21 @@ def test_only_a_run_whose_generator_trained_is_scored_weighted(tmp_path):
         assert unweighted is not weighted, name
         _, train_scores, _ = ev.read_scores_csv(run / "scores.csv")
         assert (train_scores.tobytes() == raw.tobytes()) is not weighted, name
+
+
+def test_predict_reads_no_labels_file(tmp_path):
+    # a weighted run: predict reads the sources' expression files for their
+    # references, and scores the same bytes after their labels files are gone
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    predict = ["predict", "--config", str(cfg_path),
+               "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"), "--out"]
+    assert main([*predict, str(tmp_path / "with_labels.csv")]) == 0
+    for source in config["sources"]:
+        Path(source["labels"]).unlink()
+    assert main([*predict, str(tmp_path / "without_labels.csv")]) == 0
+    assert (tmp_path / "without_labels.csv").read_bytes() == \
+        (tmp_path / "with_labels.csv").read_bytes()
 
 
 @pytest.fixture
@@ -729,6 +757,22 @@ def _prep_args(config, out):
     return ["prep", "--sources", config["sources"][0]["expression"],
             config["sources"][1]["expression"],
             "--target", config["target_expression"], "--out", str(out)]
+
+
+def test_prep_pathways_report_dropped_sets_and_name_the_file(tmp_path, capsys):
+    _, config, _ = write_synth_files(tmp_path)
+    sets_path = tmp_path / "sets.tsv"
+    sets_path.write_text("p1\tg0,g1\nghost\tzzz\nvoid\tyyy\n")
+    assert main([*_prep_args(config, tmp_path / "kept"),
+                 "--pathways", str(sets_path)]) == 0
+    assert capsys.readouterr().err == (f"{sets_path}: dropped 2 gene sets that share "
+                                       f"no gene with the matrices: ghost, void\n")
+    sets_path.write_text("ghost\tzzz\n")
+    assert main([*_prep_args(config, tmp_path / "none"),
+                 "--pathways", str(sets_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {sets_path}: no gene set overlaps the expression matrix\n"
+    assert not (tmp_path / "none").exists()
 
 
 def test_prep_hvg_zero_is_data_error(tmp_path, capsys, monkeypatch):
