@@ -31,10 +31,27 @@ MUTANTS = (
     Mutant(
         "adam_kernel_bias_correction_one_step_ahead",
         "src/adadrug/kernels.py",
-        "np.divide(m, 1.0 - b1 ** t, out=s1)",
-        "np.divide(m, 1.0 - b1 ** (t + 1), out=s1)",
+        "c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t",
+        "c1, c2 = 1.0 - b1 ** (t + 1), 1.0 - b2 ** t",
         tuple(f"tests/test_kernels.py::test_adam_step_is_bitwise_the_textbook_order[{s}]"
-              for s in ("shape0", "shape1")),
+              for s in ("shape0", "shape1", "shape2")),
+    ),
+    Mutant(
+        "adam_kernel_skips_the_last_partial_block",
+        "src/adadrug/kernels.py",
+        "for lo in range(0, n, ADAM_BLOCK):",
+        "for lo in range(0, n - n % ADAM_BLOCK, ADAM_BLOCK):",
+        tuple(f"tests/test_kernels.py::test_adam_step_is_bitwise_the_textbook_order[{s}]"
+              for s in ("shape0", "shape2")),
+    ),
+    Mutant(
+        "adam_kernel_updates_a_copy_of_a_strided_array",
+        "src/adadrug/kernels.py",
+        "if not a.flags.c_contiguous:",
+        "if False:",
+        tuple(f"tests/test_kernels.py::"
+              f"test_adam_step_refuses_an_array_it_could_only_reach_through_a_copy[{s}]"
+              for s in "pgmv"),
     ),
     Mutant(
         "adam_step_count_one_ahead",
@@ -249,6 +266,18 @@ MUTANTS = (
         ("tests/test_autodiff.py::test_clamped_bce_is_bitwise_the_chain",),
     ),
     Mutant(
+        "backward_assigns_a_leaf_contribution",
+        "src/adadrug/autodiff.py",
+        "parent.grad += contrib",
+        "parent.grad[...] = contrib",
+        ("tests/test_autodiff.py::test_quadratic_gradient",
+         "tests/test_autodiff.py::test_reused_node_accumulates_fanout_gradient",
+         "tests/test_autodiff.py::"
+         "test_leaf_contributions_added_as_they_arrive_are_bitwise_the_sum_first",
+         "tests/test_autodiff.py::"
+         "test_backward_adds_leaf_contributions_without_a_second_copy"),
+    ),
+    Mutant(
         "dense_drops_the_input_gradient",
         "src/adadrug/autodiff.py",
         "gx = g @ W.value.T if x.needs_grad else None",
@@ -277,6 +306,13 @@ MUTANTS = (
          "tests/test_train.py::test_train_leaves_no_cyclic_garbage"),
     ),
     Mutant(
+        "train_keeps_the_last_gradient",
+        "src/adadrug/train.py",
+        "del grad",
+        "pass",
+        ("tests/test_train.py::test_a_training_run_holds_one_gradient_vector_at_a_time",),
+    ),
+    Mutant(
         "train_hands_the_freed_heap_back",
         "src/adadrug/train.py",
         "mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)",
@@ -284,6 +320,13 @@ MUTANTS = (
         ("tests/test_train.py::test_a_warm_training_run_takes_no_new_pages",),
     ),
     # -- checkpoints -------------------------------------------------------
+    Mutant(
+        "checkpoint_save_copies_the_body",
+        "src/adadrug/train.py",
+        'body = memoryview(np.ascontiguousarray(bundle.flat, dtype="<f8"))',
+        'body = np.ascontiguousarray(bundle.flat, dtype="<f8").tobytes()',
+        ("tests/test_train.py::test_checkpoint_io_copies_the_parameter_block_once",),
+    ),
     Mutant(
         "checkpoint_checksum_not_compared",
         "src/adadrug/train.py",

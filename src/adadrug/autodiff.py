@@ -14,8 +14,10 @@ Gradient contract: only ``Tape.leaf`` nodes hold a ``Node.grad`` buffer,
 the caller's ``grad`` array (training passes views of one vector laid out
 like ``ModelBundle.flat``) or a zeroed one of their own; ``Tape.const``
 leaves and interior nodes hold ``None``. ``backward`` keeps interior
-gradients in a local list and *adds* into the caller's buffers, which
-training zeroes by building a fresh tape and gradient vector each step.
+gradients in a local list, dropped once passed on, and *adds* each
+contribution to a leaf straight into its buffer as it arrives, so no second
+copy of a leaf's gradient is built. Training zeroes the buffers by building
+a fresh tape and gradient vector each step.
 Subgradients at the relu/abs kinks are 0.
 ``Node.needs_grad`` is set once, when the node is recorded: true for a leaf
 with a buffer and for any node with a parent that has it. ``backward``
@@ -105,9 +107,11 @@ class Tape:
 def backward(tape, loss):
     """Add d(loss)/d(leaf) into every ``Tape.leaf`` node's ``grad``.
 
-    ``loss`` must be a 1x1 node on ``tape``. Gradients are built in local
-    buffers and added into the caller's buffer of each leaf; an interior
-    node's gradient is dropped once it has been passed on to its parents.
+    ``loss`` must be a 1x1 node on ``tape``. Each contribution to a leaf is
+    added into its buffer as it arrives, in reverse tape order; into a zeroed
+    buffer that gives the bits, signed zeros too, of summing them first. An
+    interior node's gradient is summed in a local list and dropped once it
+    has been passed on to its parents.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(
@@ -121,13 +125,16 @@ def backward(tape, loss):
         g = local[node._idx]
         if g is None:
             continue
-        if node._backward is None:
+        if node._backward is None:  # the loss is itself a leaf
             if node.grad is not None:
                 node.grad += g
             continue
         local[node._idx] = None
         for parent, contrib in zip(node.parents, node._backward(g)):
             if contrib is None or not parent.needs_grad:
+                continue
+            if parent.grad is not None:
+                parent.grad += contrib
                 continue
             acc = local[parent._idx]
             local[parent._idx] = contrib if acc is None else acc + contrib

@@ -19,6 +19,10 @@ import numpy as np
 # 2.9 GB for 300 samples over 4,000 genes
 PAIRWISE_BLOCK_BYTES = 4 << 20
 
+# elements of each array one adam_step block touches: 256 KB of float64, so
+# the six arrays of a block (p, g, m, v and two scratch) stay in cache
+ADAM_BLOCK = 1 << 15
+
 
 def sigmoid(x, out=None):
     # exp(-|x|) never overflows; the two branches pick the stable form,
@@ -67,31 +71,54 @@ def abs_bwd(x, g):
     return g * np.sign(x)
 
 
+def _flat(a, name):
+    """``a`` as a 1-D view; an array only a copy could flatten is refused,
+    because an update written to the copy would be lost."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"adam_step: {name} is not C-contiguous")
+    return a.reshape(-1)
+
+
 def adam_step(p, g, m, v, lr, b1, b2, eps, t, s1, s2):
     """One in-place Adam update for a single parameter array.
 
-    ``s1`` and ``s2`` are scratch arrays shaped like ``p``; with them the
-    update allocates nothing. It runs the ufuncs of the textbook order
+    ``p``, ``g``, ``m`` and ``v`` are C-contiguous arrays of one size, walked
+    as flat vectors in blocks of ``ADAM_BLOCK`` elements, so every array a
+    block touches stays in cache. ``s1`` and ``s2`` are C-contiguous scratch
+    arrays of at least one block (or ``p.size``, if smaller); with them the
+    update allocates nothing. Each block runs the ufuncs of the textbook order
 
         m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
         p -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
 
-    one by one, so it gives the same bits.
+    one by one; the update is elementwise, so it gives the same bits as one
+    pass over the whole arrays.
     """
-    np.multiply(g, 1.0 - b1, out=s1)
-    m *= b1
-    m += s1
-    np.multiply(g, 1.0 - b2, out=s1)
-    s1 *= g
-    v *= b2
-    v += s1
-    np.divide(m, 1.0 - b1 ** t, out=s1)
-    s1 *= lr
-    np.divide(v, 1.0 - b2 ** t, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += eps
-    s1 /= s2
-    p -= s1
+    p, g, m, v = _flat(p, "p"), _flat(g, "g"), _flat(m, "m"), _flat(v, "v")
+    s1, s2 = _flat(s1, "s1"), _flat(s2, "s2")
+    n = p.size
+    if not g.size == m.size == v.size == n:
+        raise ValueError(f"adam_step: sizes differ: p {n}, g {g.size}, m {m.size}, "
+                         f"v {v.size}")
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for lo in range(0, n, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, n)
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        t1, t2 = s1[: hi - lo], s2[: hi - lo]
+        np.multiply(gb, 1.0 - b1, out=t1)
+        mb *= b1
+        mb += t1
+        np.multiply(gb, 1.0 - b2, out=t1)
+        t1 *= gb
+        vb *= b2
+        vb += t1
+        np.divide(mb, c1, out=t1)
+        t1 *= lr
+        np.divide(vb, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        t1 /= t2
+        pb -= t1
 
 
 def pairwise_sq_dists(a, b):

@@ -158,17 +158,20 @@ class TrainHistory:
 
 
 class Adam:
-    """Standard Adam over one parameter array, updated in place.
+    """Standard Adam over one C-contiguous parameter array, updated in place.
 
     Training passes ``ModelBundle.flat``. The update is elementwise, so one
     optimizer over the flat vector gives the bits of one per parameter array.
+    Besides the moments ``m`` and ``v`` it owns two scratch vectors of one
+    ``kernels.adam_step`` block, not of the parameter's size.
     """
 
     def __init__(self, param, lr, b1=0.9, b2=0.999, eps=1e-8):
         self.param = param
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.m, self.v = np.zeros_like(param), np.zeros_like(param)
-        self.s1, self.s2 = np.empty_like(param), np.empty_like(param)
+        block = min(param.size, kernels.ADAM_BLOCK)
+        self.s1, self.s2 = np.empty(block, param.dtype), np.empty(block, param.dtype)
         self.t = 0
 
     def step(self, grad):
@@ -186,7 +189,7 @@ class Adam:
 # run goes on, so it is set to the ceiling it would rise to (32 MB on 64-bit):
 # an array above the threshold is mapped, and zeroed, afresh each time.
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc's mallopt parameters, malloc.h
-_HEAP_TOP_PAD = 64 << 20  # above a paper-width step at 500 genes (< 32 MB)
+_HEAP_TOP_PAD = 64 << 20  # above a paper-width step at 500 genes (10.4 MB traced)
 _MMAP_THRESHOLD = 32 << 20
 
 
@@ -326,6 +329,8 @@ def train(bundle, cfg):
                 raise DivergenceError(f"training diverged at step {step}: "
                                       f"loss parts {parts}")
             opt.step(grad)
+            # the next train_step allocates a fresh vector: drop this one first
+            del grad
             history.parts.append(parts)
         history.epoch_seconds.append(time.perf_counter() - t0)
     for name, a in model.named_arrays():
@@ -359,7 +364,8 @@ def save_checkpoint(bundle, cfg, step, path):
     """
     if bundle.specs != build_specs(bundle.n_genes, cfg):
         raise ValueError("bundle specs are not the ones its training config implies")
-    body = np.ascontiguousarray(bundle.flat, dtype="<f8").tobytes()
+    # on a little-endian machine a view of flat, hashed and written uncopied
+    body = memoryview(np.ascontiguousarray(bundle.flat, dtype="<f8"))
     header = {
         "format_version": CHECKPOINT_VERSION,
         "genes": bundle.n_genes,
@@ -414,7 +420,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
                                   f"not {value!r}")
     specs = build_specs(n_genes, cfg)
-    body = blob[nl + 1 :]
+    body = memoryview(blob)[nl + 1 :]
     need = 8 * mdl.param_count(specs)
     if len(body) != need:
         problem = "truncated parameter block" if len(body) < need else \

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,36 @@ def test_backward_adds_into_leaf_buffers():
     np.testing.assert_array_equal(x.grad, [[12.0]])
     # only leaves hold a gradient buffer; interior gradients live in backward
     assert [node.grad for node in t.nodes if node.parents] == [None, None]
+
+
+def test_leaf_contributions_added_as_they_arrive_are_bitwise_the_sum_first():
+    # four contributions per entry, signed zeros and a subnormal among them;
+    # the reverse walk passes them in the order c4, c3, c2, c1
+    rng = np.random.default_rng(3)
+    pool = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, -0.3, 5e-324])
+    cs = [rng.choice(pool, size=(64, 64)) for _ in range(4)]
+    t = ad.Tape()
+    x = t.leaf(rng.normal(size=(64, 64)))
+    e = [ad.ewmul(x, t.const(c)) for c in cs]
+    ad.backward(t, ad.sum_all(ad.add(ad.add(e[0], e[1]), ad.add(e[2], e[3]))))
+    want = np.zeros((64, 64)) + (((cs[3] + cs[2]) + cs[1]) + cs[0])
+    assert x.grad.tobytes() == want.tobytes()
+
+
+def test_backward_adds_leaf_contributions_without_a_second_copy():
+    # summing a leaf's four contributions before adding them held two partial
+    # sums beside the source gradient and the contribution: four leaf sizes
+    t = ad.Tape()
+    x = t.leaf(np.random.default_rng(0).normal(size=(512, 512)))
+    loss = ad.sum_all(ad.average([x, x, x, x]))
+    tracemalloc.start()
+    try:
+        ad.backward(t, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (x.grad == 1.0).all()
+    assert peak < 3 * x.value.nbytes, f"peak {peak / x.value.nbytes:.2f} leaf sizes"
 
 
 def test_leaf_adds_into_a_given_buffer_and_const_holds_none():

@@ -33,12 +33,13 @@ def test_adam_zero_gradient_zero_state_is_identity():
     assert np.abs(p - before).max() < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (1, 1)])
+@pytest.mark.parametrize("shape", [(3, 5), (1, 1), (2 * kernels.ADAM_BLOCK + 5,)])
 def test_adam_step_is_bitwise_the_textbook_order(shape):
+    # the last shape is two whole blocks and a remainder; scratch is one block
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
     p = _rand(shape, seed=16)
     m, v = np.zeros_like(p), np.zeros_like(p)
-    s1, s2 = np.full_like(p, np.nan), np.full_like(p, np.nan)
+    s1, s2 = (np.full(min(p.size, kernels.ADAM_BLOCK), np.nan) for _ in range(2))
     p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
     for t in range(1, 6):
         g = _rand(shape, seed=16 + t)
@@ -50,6 +51,24 @@ def test_adam_step_is_bitwise_the_textbook_order(shape):
         p_ref = p_ref - lr * mhat / (np.sqrt(vhat) + eps)
         for got, want in ((p, p_ref), (m, m_ref), (v, v_ref)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["p", "g", "m", "v"])
+def test_adam_step_refuses_an_array_it_could_only_reach_through_a_copy(name):
+    arrays = {k: _rand((4, 6), seed=20 + i) for i, k in enumerate("pgmv")}
+    arrays[name] = np.asfortranarray(arrays[name])
+    before = {k: a.copy() for k, a in arrays.items()}
+    with pytest.raises(ValueError, match=f"{name} is not C-contiguous"):
+        kernels.adam_step(*arrays.values(), 1e-3, 0.9, 0.999, 1e-8, 1,
+                          np.empty(24), np.empty(24))
+    assert all(arrays[k].tobytes() == before[k].tobytes() for k in arrays)
+
+
+def test_adam_step_refuses_arrays_of_different_sizes():
+    p, m, v = np.zeros(6), np.zeros(6), np.zeros(6)
+    with pytest.raises(ValueError, match="sizes differ"):
+        kernels.adam_step(p, np.ones(7), m, v, 1e-3, 0.9, 0.999, 1e-8, 1,
+                          np.empty(7), np.empty(7))
 
 
 def test_dense_rejects_an_unknown_activation():

@@ -414,6 +414,30 @@ def test_paper_width_step_and_adam_stay_under_32_mb():
     assert peak < 32e6
 
 
+def test_a_training_run_holds_one_gradient_vector_at_a_time():
+    # flat, Adam's m and v and one gradient are four parameter sizes; the rest
+    # is the step's graph. Keeping the last step's gradient, or summing a
+    # leaf's contributions before adding them, costs one more size each
+    rng = np.random.default_rng(0)
+    genes = [f"g{j}" for j in range(500)]
+
+    def expr(n):
+        return dat.ExpressionMatrix([f"s{i}" for i in range(n)], genes,
+                                    rng.normal(size=(n, 500)))
+
+    bundle = dat.DomainBundle(
+        [dat.LabeledDomain(expr(64), np.arange(64) % 2) for _ in range(2)], expr(64))
+    cfg = tr.TrainConfig(epochs=1, batch_size=32, sampler="none")
+    tracemalloc.start()
+    try:
+        model, history = tr.train(bundle, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history.final_step == 2
+    assert peak < 6 * model.flat.nbytes, f"peak {peak / model.flat.nbytes:.2f} sizes"
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -433,6 +457,27 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path, rng):
     path2 = tmp_path / "ck2.bin"
     tr.save_checkpoint(loaded, cfg2, step2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_io_copies_the_parameter_block_once(tmp_path):
+    # save hashes and writes a view of flat; load reads the file and makes one
+    # float64 copy of its body
+    cfg = tr.TrainConfig()
+    model = mdl.init_params(tr.build_specs(500, cfg), 0)
+    path = tmp_path / "ck.bin"
+    tracemalloc.start()
+    try:
+        tr.save_checkpoint(model, cfg, 7, path)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded, _, _ = tr.load_checkpoint(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    size = model.flat.nbytes
+    assert saved < 0.5 * size, f"save peak {saved / size:.2f} sizes"
+    assert read < 2.5 * size, f"load peak {read / size:.2f} sizes"
 
 
 def test_checkpoint_version_mismatch(tmp_path, rng):
