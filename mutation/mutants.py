@@ -95,6 +95,26 @@ MUTANTS = (
          "tests/test_data.py::test_one_table_rule_gives_one_message[scores-non_finite]"),
     ),
     Mutant(
+        "record_reader_splits_quoted_lines_too",
+        "src/adadrug/data.py",
+        "if '\"' in line:",
+        "if False:",
+        tuple(f"tests/test_data.py::test_read_table_matches_the_per_cell_reader[{t}]"
+              for t in ("expression", "labels", "scores")),
+    ),
+    Mutant(
+        "csv_error_escapes_the_record_reader",
+        "src/adadrug/data.py",
+        "except csv.Error as e:",
+        "except ParseError as e:",
+        ("tests/test_data.py::test_a_quoted_cell_over_the_csv_field_limit_is_a_parse_error"
+         "[one_line]",
+         "tests/test_data.py::test_a_quoted_cell_over_the_csv_field_limit_is_a_parse_error"
+         "[continued]",
+         "tests/test_cli.py::"
+         "test_prep_with_a_quoted_cell_over_the_csv_field_limit_exits_2_naming_the_file"),
+    ),
+    Mutant(
         "parse_errors_do_not_name_their_file",
         "src/adadrug/data.py",
         'raise ParseError(f"{path}: {e}") from None',
@@ -328,9 +348,16 @@ MUTANTS = (
         ("tests/test_train.py::test_checkpoint_io_copies_the_parameter_block_once",),
     ),
     Mutant(
+        "checkpoint_load_reads_the_body_into_bytes_first",
+        "src/adadrug/train.py",
+        "fh.readinto(flat)",
+        'flat[:] = np.frombuffer(fh.read(), dtype="<f8")',
+        ("tests/test_train.py::test_checkpoint_io_copies_the_parameter_block_once",),
+    ),
+    Mutant(
         "checkpoint_checksum_not_compared",
         "src/adadrug/train.py",
-        'if _digest(header, body) != header["sha256"]:',
+        'if _digest(header, flat) != header["sha256"]:',
         "if False:",
         ("tests/test_train.py::test_checkpoint_flipped_body_bit_is_checkpoint_error",
          "tests/test_train.py::test_checkpoint_swapped_array_entries_are_checkpoint_error"),

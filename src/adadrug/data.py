@@ -12,17 +12,22 @@ File formats:
 Expression, labels and (in ``evaluate``) scores files are sample tables that
 parse through ``read_table``: a header, then one row per sample with a unique
 id and finite numbers (0/1 in a ``label`` column); blank lines are skipped and
-errors name the line. Each loader checks only its header. A row's value cells
-are parsed in one ``float`` pass; only a row that pass refuses goes cell by
-cell through ``_parse_cell``, which gives the same values and names the bad
-cell. Text inputs are read through ``open_text``: UTF-8, with or without a
-byte-order mark; every ``ParseError`` starts with its file (``path: line N``).
+errors name the line. Each loader checks only its header. Records follow the
+csv grammar of ``csv.reader``: a line without a ``"`` is one record, split on
+the delimiter; a line that holds one starts a record ``csv.reader`` reads, so
+a quoted cell may hold the delimiter, a quote or a line break. A file with
+quoted ids, as R writes them, parses the same but takes the slower csv path.
+A row's value cells are parsed in one ``float`` pass; only a row that pass
+refuses goes cell by cell through ``_parse_cell``, which gives the same values
+and names the bad cell. Text inputs are read through ``open_text``: UTF-8,
+with or without a byte-order mark; every ``ParseError`` starts with its file
+(``path: line N``).
 """
 
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -167,6 +172,32 @@ def _parse_cell(text, line_num, what):
     return v
 
 
+def _records(fh, delim):
+    """Yield each record of a CSV/TSV text file as (line number, cells).
+
+    A physical line without a ``"`` is one record: its line end stripped, it
+    splits on ``delim`` (a blank line is an empty record), which is how the
+    csv grammar reads a line without a quote. A line that holds one starts a
+    record ``csv.reader`` reads, so a quoted field can pull in continuation
+    lines. The line number is csv's: the record's last physical line. A
+    ``csv.Error`` becomes a ``ParseError`` naming the line.
+    """
+    line_num = 0
+    for line in fh:
+        if '"' in line:
+            reader = csv.reader(chain([line], fh), delimiter=delim)
+            try:
+                cells = next(reader)
+            except csv.Error as e:
+                raise ParseError(f"line {line_num + reader.line_num}: {e}") from None
+            line_num += reader.line_num
+        else:
+            line_num += 1
+            line = line.rstrip("\r\n")
+            cells = line.split(delim) if line else []
+        yield line_num, cells
+
+
 def read_table(path, delim, check_header, what):
     """Parse a sample table into (header cells, sample ids, float64 values).
 
@@ -175,23 +206,25 @@ def read_table(path, delim, check_header, what):
     named ``label`` must hold 0 or 1. ``what`` names the rows in the message
     for a table without any. See the module docstring for the row rules.
 
-    Each row's value cells become one float64 array through ``float``; a row
-    where ``float`` raises or that holds a non-finite value is parsed again
-    by ``_parse_cell``, the error path, which raises the row's first
-    ``ParseError``. Wherever ``float(cell)`` succeeds it equals
-    ``float(cell.strip())``, so both paths give the same bits.
+    Records come from ``_records``: only a record that holds a quote goes
+    through ``csv.reader``, so a file with quoted ids, as R writes them,
+    parses as before but no faster. Each row's value cells become one
+    float64 array through ``float``; a row where ``float`` raises or that
+    holds a non-finite value is parsed again by ``_parse_cell``, the error
+    path, which raises the row's first ``ParseError``. Wherever
+    ``float(cell)`` succeeds it equals ``float(cell.strip())``, so both paths
+    give the same bits.
     """
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delim)
-        header = next(reader, None)
+        records = _records(fh, delim)
+        _, header = next(records, (1, None))
         columns = check_header(header)
         label_cols = [j for j, name in enumerate(columns, start=1) if name == "label"]
         n_cells = len(columns) + 1
         ids, rows, seen = [], [], set()
-        for rec in reader:
+        for line, rec in records:
             if not rec:
                 continue
-            line = reader.line_num
             if len(rec) != n_cells:
                 raise ParseError(f"line {line}: expected {n_cells} cells, got {len(rec)}")
             sid = rec[0].strip()
@@ -201,7 +234,7 @@ def read_table(path, delim, check_header, what):
             ids.append(sid)
             cells = rec[1:]
             try:
-                row = np.array(list(map(float, cells)))
+                row = np.fromiter(map(float, cells), np.float64, len(cells))
                 parsed = np.isfinite(row).all()
             except ValueError:
                 parsed = False

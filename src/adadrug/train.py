@@ -389,46 +389,47 @@ def load_checkpoint(path):
     in the file is refused too.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise CheckpointError("no header line found")
-    try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"unreadable header: {e}") from None
-    if not isinstance(header, dict):
-        raise CheckpointError(f"header is a JSON {type(header).__name__}, not an object")
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {version!r} "
-                              f"(expected {CHECKPOINT_VERSION})")
-    missing = [k for k in HEADER_KEYS if k not in header]
-    if missing:
-        raise CheckpointError(f"header is missing {missing}")
-    unknown = sorted(set(header) - set(HEADER_KEYS))
-    if unknown:
-        raise CheckpointError(f"header has unknown keys {unknown}")
-    try:
-        cfg = TrainConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"header 'config' is malformed: {e}") from None
-    n_genes, seed, step = header["genes"], header["seed"], header["step"]
-    for key, value, least in (("genes", n_genes, 1), ("seed", seed, 0),
-                              ("step", step, 0)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
-                                  f"not {value!r}")
-    specs = build_specs(n_genes, cfg)
-    body = memoryview(blob)[nl + 1 :]
-    need = 8 * mdl.param_count(specs)
-    if len(body) != need:
-        problem = "truncated parameter block" if len(body) < need else \
-            "trailing bytes after parameter blocks"
-        raise CheckpointError(f"{problem}: the body holds {len(body)} bytes; the "
-                              f"header's config implies {need} for {n_genes} genes")
-    if _digest(header, body) != header["sha256"]:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError("no header line found")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"unreadable header: {e}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"header is a JSON {type(header).__name__}, not an object")
+        version = header.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint format version {version!r} "
+                                  f"(expected {CHECKPOINT_VERSION})")
+        missing = [k for k in HEADER_KEYS if k not in header]
+        if missing:
+            raise CheckpointError(f"header is missing {missing}")
+        unknown = sorted(set(header) - set(HEADER_KEYS))
+        if unknown:
+            raise CheckpointError(f"header has unknown keys {unknown}")
+        try:
+            cfg = TrainConfig.from_dict(header["config"])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"header 'config' is malformed: {e}") from None
+        n_genes, seed, step = header["genes"], header["seed"], header["step"]
+        for key, value, least in (("genes", n_genes, 1), ("seed", seed, 0),
+                                  ("step", step, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
+                                      f"not {value!r}")
+        specs = build_specs(n_genes, cfg)
+        body = os.fstat(fh.fileno()).st_size - len(line)
+        need = 8 * mdl.param_count(specs)
+        if body != need:
+            problem = "truncated parameter block" if body < need else \
+                "trailing bytes after parameter blocks"
+            raise CheckpointError(f"{problem}: the body holds {body} bytes; the "
+                                  f"header's config implies {need} for {n_genes} genes")
+        # the one copy of the parameters: the body is read straight into it
+        flat = np.empty(need // 8, dtype="<f8")
+        fh.readinto(flat)
+    if _digest(header, flat) != header["sha256"]:
         raise CheckpointError("sha256 mismatch: the header or the parameters were "
                               "edited or corrupted")
-    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
     return mdl.ModelBundle(specs=specs, flat=flat, seed=seed), cfg, step

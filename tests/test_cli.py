@@ -846,6 +846,21 @@ def test_prep_with_a_repeated_gene_in_gene_list_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
+def test_prep_with_a_quoted_cell_over_the_csv_field_limit_exits_2_naming_the_file(
+        tmp_path, capsys):
+    _, config, _ = write_synth_files(tmp_path)
+    target = Path(config["target_expression"])
+    line = target.read_bytes().count(b"\n") + 1
+    limit = csv.field_size_limit()
+    with open(target, "a") as fh:
+        fh.write('"' + "x" * limit + 'x",1\n')
+    out = tmp_path / "prep"
+    assert main(_prep_args(config, out)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {target}: line {line}: field larger than field limit ({limit})\n"
+    assert not out.exists()
+
+
 def test_prep_gene_list_writes_the_first_source_order(tmp_path):
     _, config, _ = write_synth_files(tmp_path)
     gene_list = tmp_path / "genes.txt"

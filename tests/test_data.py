@@ -1,3 +1,4 @@
+import csv
 import re
 import tracemalloc
 
@@ -13,6 +14,9 @@ from adadrug import evaluate as ev
 
 from conftest import make_domain, per_cell_read_table
 from oracles import point_to_segment_distance
+
+
+FIELD_LIMIT = csv.field_size_limit()
 
 
 def write(tmp_path, name, text):
@@ -191,7 +195,7 @@ _PAD = st.text(st.sampled_from(" \x1c\x1d\x1e\x1f\xa0\u3000"), max_size=2)
 _NUMBER = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
            | st.sampled_from(["1_0", "\uff11\uff12.\uff15", "-0.0", "1e-320", "7"]))
 _LABEL = st.sampled_from(["0", "1", "-0.0", "1.0", "1e0", "\uff10", "\uff11", "0.5", "2"])
-_REFUSED = st.sampled_from(["nan", "inf", "-inf", "", "x", "1__0", "0x1"])
+_REFUSED = st.sampled_from(["nan", "inf", "-inf", "", "x", "1__0", "0x1", '1"5'])
 
 
 def _cell(accepted):
@@ -202,41 +206,87 @@ def _cell(accepted):
 
 # read_table's header check, a header and one cell strategy per value column
 TABLES = {
-    "expression": (dat._expression_header, "sample,g1,g2,g3", [_NUMBER] * 3),
-    "labels": (dat._labels_header, "sample_id,label", [_LABEL]),
-    "scores": (ev._scores_header, "sample_id,score,label", [_NUMBER, _LABEL]),
+    "expression": (dat._expression_header, ["sample", "g1", "g2", "g3"], [_NUMBER] * 3),
+    "labels": (dat._labels_header, ["sample_id", "label"], [_LABEL]),
+    "scores": (ev._scores_header, ["sample_id", "score", "label"], [_NUMBER, _LABEL]),
 }
 
 
-def _row(i, cells):
-    """Row ``i``: a fresh id, or now and then an empty or repeated one; the
-    value cells, now and then one short or one long."""
-    ids = st.integers(0, 19).map(lambda k: {0: "", 1: "s0"}.get(k, f"s{i}"))
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _id(i, delim):
+    """Row ``i``'s id: mostly a fresh one, now and then an empty or repeated
+    one, one quoted around the delimiter, a quote, a CR or a LF (as
+    ``csv.writer`` writes them), a quoted plain one (as R writes them) or one
+    with a stray quote inside."""
+    return st.integers(0, 19).map(lambda k: {
+        0: "", 1: "s0", 2: _quoted(f"s{i}{delim}x"), 3: _quoted(f's{i}"x'),
+        4: _quoted(f"s{i}\rx"), 5: _quoted(f"s{i}\nx"), 6: _quoted(f"s{i}"),
+        7: f's{i}"x'}.get(k, f"s{i}"))
+
+
+def _row(i, cells, delim):
+    """Row ``i``: a drawn id, then the value cells, now and then one short or
+    one long."""
     values = st.tuples(*map(_cell, cells))
     values = st.tuples(values, st.integers(0, 19)).map(
         lambda v: {0: v[0][:-1], 1: (*v[0], "0")}.get(v[1], v[0]))
-    return st.tuples(ids, values).map(lambda r: ",".join([r[0], *r[1]]))
+    return st.tuples(_id(i, delim), values).map(lambda r: delim.join([r[0], *r[1]]))
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_read_table_matches_the_per_cell_reader(tmp_path_factory, table, data):
+    # CSV or TSV, blank lines mixed in, each line ended by LF, CRLF or a lone CR
     check, header, cells = TABLES[table]
+    delim = data.draw(st.sampled_from(",\t"), label="delimiter")
     n = data.draw(st.integers(0, 5), label="rows")
-    rows = [data.draw(_row(i, cells) | st.just(""), label=f"row {i}")
-            for i in range(n)]
+    lines = [delim.join(header)] + [
+        data.draw(_row(i, cells, delim) | st.just(""), label=f"row {i}")
+        for i in range(n)]
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)), label="ends")
     path = tmp_path_factory.mktemp("table") / "table.csv"
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
 
     def outcome(read):
         try:
-            head, ids, values = read(path, ",", check, table)
+            head, ids, values = read(path, delim, check, table)
         except dat.ParseError as err:
             return str(err)
         return head, ids, values.shape, values.tobytes()
 
     assert outcome(dat.read_table) == outcome(per_cell_read_table)
+
+
+@pytest.mark.parametrize("cell,message", [
+    ('"' + "x" * FIELD_LIMIT + 'x"',
+     f"line 3: field larger than field limit ({FIELD_LIMIT})"),
+    ('"a\n' + "x" * FIELD_LIMIT + '"',
+     f"line 4: field larger than field limit ({FIELD_LIMIT})"),
+], ids=["one_line", "continued"])
+def test_a_quoted_cell_over_the_csv_field_limit_is_a_parse_error(tmp_path, cell, message):
+    path = write(tmp_path, "e.csv", f"sample,g1\na,1\n{cell},2\n")
+    with pytest.raises(dat.ParseError) as err:
+        dat.load_expression(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("x" * (FIELD_LIMIT + 1), "non-numeric value"),
+    ("1" * (FIELD_LIMIT + 1), "non-finite value"),
+])
+def test_an_unquoted_value_over_the_csv_field_limit_gets_the_cell_message(
+        tmp_path, cell, message):
+    # a line without a quote is split, not tokenized by csv, so the long cell
+    # reaches the value rules
+    path = write(tmp_path, "e.csv", f"sample,g1\na,1\nb,{cell}\n")
+    with pytest.raises(dat.ParseError) as err:
+        dat.load_expression(path)
+    assert str(err.value) == f"{path}: line 3: {message} {cell!r}"
 
 
 def _loaded(obj):
