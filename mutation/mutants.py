@@ -133,6 +133,30 @@ MUTANTS = (
          "test_align_to_a_gene_list_keeps_its_order_and_only_shared_genes",
          "tests/test_cli.py::test_train_with_gene_list_uses_the_listed_genes_in_list_order"),
     ),
+    Mutant(
+        "smote_names_synthetic_rows_after_their_number_alone",
+        "src/adadrug/data.py",
+        '[f"{sid}#r{i}" for i, sid in enumerate(parents)],',
+        'ids + [f"smote{i}" for i in range(needed)],',
+        ("tests/test_data.py::test_smote_names_rows_so_that_no_input_id_collides",),
+    ),
+    Mutant(
+        "an_input_directory_escapes_open_text",
+        "src/adadrug/data.py",
+        "except OSError as e:",
+        "except FileNotFoundError as e:",
+        tuple(f"tests/test_cli.py::test_an_input_that_is_a_directory_exits_2_naming_it[{c}]"
+              for c in ("prep-target_expression", "prep-gene_list", "train-config",
+                        "train-source_labels", "evaluate-scores")),
+    ),
+    Mutant(
+        "table_keys_written_unquoted",
+        "src/adadrug/data.py",
+        "fh.write(_csv_cells([key], delim) + delim",
+        "fh.write(str(key) + delim",
+        ("tests/test_evaluate.py::test_scores_csv_roundtrip",
+         "tests/test_evaluate.py::test_export_embeddings_roundtrip_and_identity"),
+    ),
     # -- run inputs ----------------------------------------------------------
     Mutant(
         "one_class_target_labels_accepted",
@@ -361,6 +385,14 @@ MUTANTS = (
         "if False:",
         ("tests/test_train.py::test_checkpoint_flipped_body_bit_is_checkpoint_error",
          "tests/test_train.py::test_checkpoint_swapped_array_entries_are_checkpoint_error"),
+    ),
+    Mutant(
+        "a_checkpoint_directory_escapes_load_checkpoint",
+        "src/adadrug/train.py",
+        "except OSError as e:\n        raise CheckpointError",
+        "except FileNotFoundError as e:\n        raise CheckpointError",
+        ("tests/test_cli.py::test_an_input_that_is_a_directory_exits_2_naming_it"
+         "[predict-checkpoint]",),
     ),
     # -- target scoring ----------------------------------------------------
     Mutant(

@@ -94,9 +94,9 @@ class Tape:
         grad = np.zeros_like(value) if grad is None else grad
         return self._record(value, op, (), None, grad)
 
-    def const(self, value, op="const"):
+    def const(self, value):
         """Enter data that needs no gradient: the node holds no buffer."""
-        return self._record(as_matrix(value), op, (), None)
+        return self._record(as_matrix(value), "const", (), None)
 
     def _record(self, value, op, parents, backward, grad=None):
         node = Node(value, op, parents, backward, len(self.nodes), self, grad)

@@ -8,10 +8,8 @@ can be reproduced bit for bit.
 """
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
@@ -148,25 +146,10 @@ def write_json(path, obj):
 # shared data plumbing
 # ---------------------------------------------------------------------------
 
-def _csv_cells(cells, delim):
-    """``cells`` joined as ``csv.writer`` writes them, without the line end:
-    a cell holding the delimiter, a quote, a carriage return or a newline is
-    quoted (``csv.writer`` quotes the characters of its line terminator)."""
-    buf = io.StringIO()
-    csv.writer(buf, delimiter=delim, lineterminator="\r\n").writerow(cells)
-    return buf.getvalue()[:-2]
-
-
 def write_expression(path, expr, fmt="csv"):
-    """The table ``data.load_expression`` reads back. Ids and gene names go
-    through ``csv.writer``; a value's repr never needs quoting, so values are
-    joined directly, which is faster on wide tables."""
-    delim = dat.DELIMS[fmt]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_cells(["sample", *expr.gene_names], delim) + "\n")
-        for sid, row in zip(expr.sample_ids, expr.values):
-            fh.write(_csv_cells([sid], delim) + delim
-                     + delim.join(map(repr, row.tolist())) + "\n")
+    """The table ``data.load_expression`` reads back, row by row."""
+    dat.write_table(path, ["sample", *expr.gene_names], expr.sample_ids,
+                    map(np.ndarray.tolist, expr.values), dat.DELIMS[fmt])
 
 
 def load_matrices(cfg):
@@ -550,8 +533,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (ConfigError, dat.ParseError, tr.CheckpointError, ValueError,
-            FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -9,9 +9,9 @@ File formats:
   gene list   plain text, one gene per line
   gene sets   one set per line: ``name<TAB>geneA,geneB,...``
 
-Expression, labels and (in ``evaluate``) scores files are sample tables that
-parse through ``read_table``: a header, then one row per sample with a unique
-id and finite numbers (0/1 in a ``label`` column); blank lines are skipped and
+``read_table`` parses every sample table, expression, labels and (in
+``evaluate``) scores: a header, then one row per sample with a unique id and
+finite numbers (0/1 in a ``label`` column); blank lines are skipped and
 errors name the line. Each loader checks only its header. Records follow the
 csv grammar of ``csv.reader``: a line without a ``"`` is one record, split on
 the delimiter; a line that holds one starts a record ``csv.reader`` reads, so
@@ -21,10 +21,16 @@ A row's value cells are parsed in one ``float`` pass; only a row that pass
 refuses goes cell by cell through ``_parse_cell``, which gives the same values
 and names the bad cell. Text inputs are read through ``open_text``: UTF-8,
 with or without a byte-order mark; every ``ParseError`` starts with its file
-(``path: line N``).
+(``path: line N``), and so does one for a path that cannot be opened.
+
+``write_table`` writes every table adadrug outputs, UTF-8 with ``\n`` line
+ends: the header cells and each row's key quoted as ``csv.writer`` quotes
+them, each number as its ``repr``, which never needs quoting and reads back
+bit for bit.
 """
 
 import csv
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -148,9 +154,14 @@ DELIMS = {"csv": ",", "tsv": "\t"}  # every table file format, by name
 @contextmanager
 def open_text(path, newline=None):
     """Open a text input as UTF-8, skipping a byte-order mark. A ``ParseError``
-    raised in the block gets the path in front. Undecodable bytes raise one
-    naming only the file: the decoder's offset is into its read buffer."""
-    with open(path, newline=newline, encoding="utf-8-sig") as fh:
+    raised in the block gets the path in front, and so does the ``OSError``
+    of a path that cannot be opened, a directory say. Undecodable bytes raise
+    one naming only the file: the decoder's offset is into its read buffer."""
+    try:
+        fh = open(path, newline=newline, encoding="utf-8-sig")
+    except OSError as e:
+        raise ParseError(f"{path}: cannot open: {e.strerror}") from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -249,6 +260,25 @@ def read_table(path, delim, check_header, what):
         if not ids:
             raise ParseError(f"line 2: no {what} rows")
     return header, ids, np.array(rows, dtype=np.float64)
+
+
+def _csv_cells(cells, delim):
+    """``cells`` joined as ``csv.writer`` writes them, without the line end:
+    a cell holding the delimiter, a quote, a carriage return or a newline is
+    quoted (``csv.writer`` quotes the characters of its line terminator)."""
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delim, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2]
+
+
+def write_table(path, header, keys, rows, delim=","):
+    """The ``header`` line, then per key a line of the key and its row: Python
+    ints and floats, as ``ndarray.tolist()`` gives them, written as their
+    ``repr``. Rows are taken one at a time; see the module docstring."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_cells(header, delim) + "\n")
+        for key, row in zip(keys, rows, strict=True):
+            fh.write(_csv_cells([key], delim) + delim + delim.join(map(repr, row)) + "\n")
 
 
 def _expression_header(header):
@@ -369,7 +399,10 @@ def binarize_ic50(ic50):
     return (v < v.mean()).astype(np.int64)
 
 
-def select_hvg(expr, n, n_bins=20):
+HVG_BINS = 20  # equal-frequency mean bins of select_hvg
+
+
+def select_hvg(expr, n):
     """Top-n highly variable genes by binned normalized dispersion.
 
     Genes with non-positive mean or zero variance are excluded. Remaining
@@ -393,7 +426,7 @@ def select_hvg(expr, n, n_bins=20):
     g_std = disp.std(ddof=1) if disp.size >= 2 else 0.0
     g_mean = disp.mean()
     order_by_mean = np.argsort(means[eligible], kind="stable")
-    for bin_idx in np.array_split(order_by_mean, min(n_bins, eligible.size)):
+    for bin_idx in np.array_split(order_by_mean, min(HVG_BINS, eligible.size)):
         b_std = disp[bin_idx].std(ddof=1) if bin_idx.size >= 2 else 0.0
         if b_std > 0:
             z[bin_idx] = (disp[bin_idx] - disp[bin_idx].mean()) / b_std
@@ -409,7 +442,7 @@ def select_hvg(expr, n, n_bins=20):
     return GeneSelection(
         method="hvg",
         genes=[expr.gene_names[eligible[i]] for i in top],
-        params={"n": int(n), "n_bins": int(n_bins)},
+        params={"n": int(n), "n_bins": HVG_BINS},
     )
 
 
@@ -531,8 +564,10 @@ def smote_upsample_logged(domain, k=5, seed=0):
         lam = float(rng.random())
         new_rows.append(x_min[j] + lam * (x_min[nb] - x_min[j]))
         log.append(SmoteDraw(int(minority[j]), int(minority[nb]), lam))
+    ids = domain.expr.sample_ids
+    parents = ids + [ids[d.parent] for d in log]
     expr = ExpressionMatrix(
-        domain.expr.sample_ids + [f"smote{i}" for i in range(needed)],
+        [f"{sid}#r{i}" for i, sid in enumerate(parents)],
         domain.expr.gene_names,
         np.vstack([domain.expr.values, np.array(new_rows)]),
     )
@@ -544,6 +579,12 @@ def smote_upsample(domain, k=5, seed=0):
     """Balance classes by interpolating minority samples toward their
     k nearest minority neighbors (Euclidean); synthetic = x + lam*(x' - x),
     lam ~ U(0,1). Already-balanced input is returned unchanged.
+
+    The input rows come first, then the synthetic ones. As in
+    ``weight_upsample``, output row i is named ``<parent id>#r<i>``, its
+    parent being the input row it is or was interpolated from: the index
+    after the last ``#r`` differs on every row, so no input id can collide
+    with a synthetic one.
     """
     out, _ = smote_upsample_logged(domain, k=k, seed=seed)
     return out

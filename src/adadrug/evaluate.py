@@ -8,7 +8,6 @@ references. ``cli`` (``train --target-labels``, ``predict``, ``ablate``) and
 weight generator trained, that is with ``awg`` and ``mda`` both on.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,16 +175,12 @@ def predict_target(bundle, target, sources=None, ref_batch=128, seed=0):
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, sample_ids, scores, labels=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if labels is None:
-            w.writerow(["sample_id", "score"])
-            for sid, s in zip(sample_ids, scores):
-                w.writerow([sid, repr(float(s))])
-        else:
-            w.writerow(["sample_id", "score", "label"])
-            for sid, s, y in zip(sample_ids, scores, labels):
-                w.writerow([sid, repr(float(s)), int(y)])
+    """The table ``read_scores_csv`` reads back; ``labels`` add a column."""
+    header, columns = ["sample_id", "score"], [np.asarray(scores, np.float64).tolist()]
+    if labels is not None:
+        header.append("label")
+        columns.append(np.asarray(labels, np.int64).tolist())
+    dat.write_table(path, header, sample_ids, zip(*columns))
 
 
 def _scores_header(header):
@@ -204,8 +199,5 @@ def read_scores_csv(path):
 
 
 def write_embeddings_csv(path, sample_ids, h):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id"] + [f"e{i}" for i in range(h.shape[1])])
-        for sid, row in zip(sample_ids, h):
-            w.writerow([sid] + [repr(float(v)) for v in row])
+    dat.write_table(path, ["sample_id"] + [f"e{i}" for i in range(h.shape[1])],
+                    sample_ids, map(np.ndarray.tolist, h))

@@ -214,7 +214,5 @@ def summarize(rows):
 
 
 def write_rows_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("variant,seed,auroc,aupr\n")
-        for r in rows:
-            fh.write(f"{r.variant},{r.seed},{r.auroc!r},{r.aupr!r}\n")
+    dat.write_table(path, ["variant", "seed", "auroc", "aupr"], [r.variant for r in rows],
+                    ([r.seed, r.auroc, r.aupr] for r in rows))

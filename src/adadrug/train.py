@@ -149,12 +149,9 @@ class TrainHistory:
         return len(self.parts)
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("step,reco,ind,adv,cls,total\n")
-            for i, p in enumerate(self.parts):
-                fh.write(
-                    f"{i},{p.reco!r},{p.ind!r},{p.adv!r},{p.cls!r},{p.total!r}\n"
-                )
+        dat.write_table(path, ["step", "reco", "ind", "adv", "cls", "total"],
+                        range(self.final_step),
+                        ([p.reco, p.ind, p.adv, p.cls, p.total] for p in self.parts))
 
 
 class Adam:
@@ -388,7 +385,11 @@ def load_checkpoint(path):
     then the ``sha256`` must match, so an edited or corrupted value anywhere
     in the file is refused too.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot open: {e.strerror}") from None
+    with fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
             raise CheckpointError("no header line found")

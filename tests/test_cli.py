@@ -168,6 +168,77 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path)]) == 2
 
 
+# each (command, input file it reads) pair
+INPUT_FILES = [
+    *(("prep", f) for f in ("source_expression", "target_expression", "gene_list",
+                            "deg_a", "deg_b", "pathways")),
+    *(("train", f) for f in ("config", "source_expression", "source_labels",
+                             "target_expression", "gene_list", "target_labels")),
+    *(("predict", f) for f in ("config", "checkpoint", "source_expression",
+                               "target_expression", "gene_list")),
+    *(("evaluate", f) for f in ("scores", "target_labels", "config")),
+    *(("ablate", f) for f in ("config", "source_expression", "source_labels",
+                              "target_expression", "gene_list", "target_labels")),
+]
+
+
+def _tree(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("command,which", INPUT_FILES)
+def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, command,
+                                                        which):
+    cfg_path, config, target_labels = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g0\ng1\ng2\n")
+    config["gene_list"] = str(gene_list)
+    cfg_path.write_text(json.dumps(config))
+    pathways = tmp_path / "sets.txt"
+    pathways.write_text("p\tg0,g1\n")
+    deg_a, deg_b = tmp_path / "deg_a.csv", tmp_path / "deg_b.csv"
+    deg_a.write_bytes(Path(config["sources"][0]["expression"]).read_bytes())
+    deg_b.write_bytes(Path(config["sources"][1]["expression"]).read_bytes())
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    scores = tmp_path / "scores.csv"
+    if command == "predict":
+        assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 0
+    if command == "evaluate":
+        ids, _, _ = dat.load_labels(target_labels)
+        ev.write_scores_csv(scores, ids, np.linspace(0, 1, len(ids)))
+    out = tmp_path / "out"
+    args = {
+        "prep": _prep_args(config, out) + {
+            "gene_list": ["--gene-list", str(gene_list)],
+            "deg_a": ["--deg-a", str(deg_a), "--deg-b", str(deg_b)],
+            "deg_b": ["--deg-a", str(deg_a), "--deg-b", str(deg_b)],
+        }.get(which, ["--pathways", str(pathways)]),
+        "train": ["train", "--config", str(cfg_path), "--output-dir", str(out),
+                  "--target-labels", str(target_labels)],
+        "predict": ["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                    "--out", str(out)],
+        "evaluate": ["evaluate", "--scores", str(scores), "--labels", str(target_labels),
+                     "--config", str(cfg_path), "--out", str(out)],
+        "ablate": ["ablate", "--config", str(cfg_path), "--target-labels",
+                   str(target_labels), "--out", str(out)],
+    }[command]
+    path = Path({
+        "config": cfg_path, "checkpoint": ckpt, "scores": scores,
+        "source_expression": config["sources"][1]["expression"],
+        "source_labels": config["sources"][1]["labels"],
+        "target_expression": config["target_expression"], "gene_list": gene_list,
+        "target_labels": target_labels, "deg_a": deg_a, "deg_b": deg_b,
+        "pathways": pathways,
+    }[which])
+    path.unlink()
+    path.mkdir()
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert _tree(tmp_path) == before
+
+
 def test_malformed_expression_file_is_data_error(tmp_path, capsys):
     cfg_path, config, _ = write_synth_files(tmp_path)
     (tmp_path / "target.csv").write_text("sample,g1\nrow1,not_a_number\n")

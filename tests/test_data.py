@@ -11,6 +11,9 @@ from scipy import stats
 from adadrug import cli
 from adadrug import data as dat
 from adadrug import evaluate as ev
+from adadrug import losses as ls
+from adadrug import synth as sy
+from adadrug import train as tr
 
 from conftest import make_domain, per_cell_read_table
 from oracles import point_to_segment_distance
@@ -342,6 +345,28 @@ def test_load_expression_of_a_wide_table_peaks_under_12_mb(tmp_path):
     assert peak < 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
+# ids that need quoting but hold no carriage return
+LF_IDS = ["a,b", 'q"t', "n\nl", "\u00e9t\u00e9", "plain"]
+TABLE_WRITERS = {
+    "expression": lambda p: cli.write_expression(
+        p, dat.ExpressionMatrix(LF_IDS, ["g\n1", "h"], np.ones((5, 2)))),
+    "scores": lambda p: ev.write_scores_csv(p, LF_IDS, np.linspace(0, 1, 5),
+                                            [0, 1, 0, 1, 1]),
+    "embeddings": lambda p: ev.write_embeddings_csv(p, LF_IDS, np.ones((5, 3))),
+    "history": lambda p: tr.TrainHistory([ls.LossParts(0.1, 0.2, 0.3, 0.4, 1.0)]
+                                         ).write_csv(p),
+    "rows": lambda p: sy.write_rows_csv(p, [sy.BenchmarkRow("full", 0, 0.5, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("writer", TABLE_WRITERS)
+def test_every_table_writer_ends_each_line_with_lf(tmp_path, writer):
+    path = tmp_path / "table.csv"
+    TABLE_WRITERS[writer](path)
+    text = path.read_bytes()
+    assert b"\r" not in text and text.endswith(b"\n")
+
+
 # ---------------------------------------------------------------------------
 # alignment and labels
 # ---------------------------------------------------------------------------
@@ -584,6 +609,17 @@ def test_smote_synthetics_lie_on_parent_segments(rng):
         assert out.labels[n_orig + i] == dom.labels[draw.parent]
     counts = np.bincount(out.labels, minlength=2)
     assert counts[0] == counts[1]
+
+
+def test_smote_names_rows_so_that_no_input_id_collides(rng):
+    # the input holds smote0, smote1, ...: the names synthetic rows once had
+    dom = make_domain(rng, n=30, n_genes=4, pos_rate=0.2, tag="smote")
+    out, log = dat.smote_upsample_logged(dom, k=3, seed=1)
+    assert log
+    ids = dom.expr.sample_ids
+    parents = ids + [ids[d.parent] for d in log]
+    assert out.expr.sample_ids == [f"{sid}#r{i}" for i, sid in enumerate(parents)]
+    assert out.expr.values[: len(ids)].tobytes() == dom.expr.values.tobytes()
 
 
 def test_smote_minority_of_one_directs_to_weight_sampler(rng):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,16 +240,23 @@ def test_scoring_rejects_ref_batch_below_one(rng, ref_batch):
 # exports
 # ---------------------------------------------------------------------------
 
+# ids holding the delimiter, a quote, a carriage return, a newline and
+# non-ASCII text: each must be quoted to read back
+TRICKY_IDS = ["a,b", 'q"t', "c\rr", "n\nl", "\u00e9t\u00e9", "plain"]
+
+
 def test_scores_csv_roundtrip(tmp_path, rng):
-    ids = [f"c{i}" for i in range(5)]
-    scores = rng.random(5)
-    labels = np.array([0, 1, 0, 1, 1])
-    path = tmp_path / "scores.csv"
-    ev.write_scores_csv(path, ids, scores, labels)
-    rids, rscores, rlabels = ev.read_scores_csv(path)
-    assert rids == ids
-    np.testing.assert_array_equal(rscores, scores)
-    np.testing.assert_array_equal(rlabels, labels)
+    scores = rng.random(len(TRICKY_IDS))
+    for labels in (np.array([0, 1, 0, 1, 1, 0]), None):
+        path = tmp_path / "scores.csv"
+        ev.write_scores_csv(path, TRICKY_IDS, scores, labels)
+        rids, rscores, rlabels = ev.read_scores_csv(path)
+        assert rids == TRICKY_IDS
+        np.testing.assert_array_equal(rscores, scores)
+        if labels is None:
+            assert rlabels is None
+        else:
+            np.testing.assert_array_equal(rlabels, labels)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -282,16 +291,16 @@ def test_export_embeddings_roundtrip_and_identity(tmp_path, rng):
     target = _target(rng, bundle, n=6)
     path = tmp_path / "emb.csv"
     h = ev.embed_target(bundle, target)
-    ev.write_embeddings_csv(path, target.sample_ids, h)
+    ev.write_embeddings_csv(path, TRICKY_IDS, h)
     from adadrug import model as mdl
 
     np.testing.assert_array_equal(h, mdl.encode(bundle, target.values))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 7
-    header = lines[0].split(",")
-    assert header[0] == "sample_id" and len(header) == bundle.latent_dim + 1
-    parsed = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
-    assert np.abs(parsed - h).max() < 1e-12
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["sample_id"] + [f"e{i}" for i in range(bundle.latent_dim)]
+    assert [r[0] for r in rows] == TRICKY_IDS
+    parsed = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert parsed.tobytes() == h.tobytes()
 
     sources = [make_domain(rng, n=8, n_genes=bundle.n_genes)]
     z = ev.embed_target(bundle, target, sources, ref_batch=4, seed=0)
