@@ -124,6 +124,24 @@ MUTANTS = (
          "tests/test_data.py::test_one_table_rule_gives_one_message[labels-blank_lines_only]"),
     ),
     Mutant(
+        "copy_reader_skips_the_table_hash_check",
+        "src/adadrug/data.py",
+        'if _file_sha256(path) != header["table_sha256"]:',
+        "if False:",
+        ("tests/test_data.py::test_a_table_edited_after_prep_loads_its_edited_values",
+         "tests/test_cli.py::"
+         "test_a_malformed_table_with_a_stale_copy_exits_2_as_without_one"),
+    ),
+    Mutant(
+        "copy_reader_skips_the_delimiter_check",
+        "src/adadrug/data.py",
+        'if header["delimiter"] != delim:',
+        "if False:",
+        tuple(f"tests/test_data.py::"
+              f"test_a_copy_read_with_the_other_format_is_passed_over[{case}]"
+              for case in ("csv-tsv", "tsv-csv")),
+    ),
+    Mutant(
         "align_genes_ignores_list_order",
         "src/adadrug/data.py",
         "(matrices[0].gene_names if genes is None else genes)",
@@ -278,6 +296,27 @@ MUTANTS = (
         "sources, target = load_matrices(cfg)  # scoring reads no labels",
         "bundle = load_bundle(cfg); sources, target = bundle.sources, bundle.target",
         ("tests/test_cli.py::test_predict_reads_no_labels_file",),
+    ),
+    Mutant(
+        "ablate_checks_its_output_dir_after_the_grid",
+        "src/adadrug/cli.py",
+        "out = check_output_dir(cfg[\"output_dir\"])\n"
+        "    rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,\n"
+        "                       cfg_train)",
+        "rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,\n"
+        "                       cfg_train)\n"
+        "    out = check_output_dir(cfg[\"output_dir\"])",
+        ("tests/test_cli.py::test_an_output_path_that_cannot_be_written_exits_2_naming_it"
+         "[ablate-out-file]",),
+    ),
+    Mutant(
+        "predict_writes_out_before_checking_embeddings",
+        "src/adadrug/cli.py",
+        "check_output_files(args.out, args.embeddings)",
+        "check_output_files(args.out)",
+        tuple(f"tests/test_cli.py::"
+              f"test_an_output_path_that_cannot_be_written_exits_2_naming_it"
+              f"[predict-embeddings-{blocker}]" for blocker in ("dir", "missing_dir")),
     ),
     # -- model -------------------------------------------------------------
     Mutant(

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -136,6 +137,31 @@ def config_hash(cfg):
     ).hexdigest()
 
 
+def check_output_files(*paths):
+    """Refuse, naming it, each given output path a file cannot be written at:
+    a directory, or one in a directory that does not exist. Called before a
+    command writes its first output, so a refused path leaves no output."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: is a directory, not a file")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{path}: its directory does not exist")
+
+
+def check_output_dir(path):
+    """``path`` as a ``Path``, refused, naming it, where no directory can be
+    made: it, or the nearest of its parents that exists, is not one. A
+    command checks before its work and makes the directory only to write."""
+    out = Path(path)
+    existing = out
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ValueError(f"{path}: cannot make the output directory: "
+                         f"{existing} is not a directory")
+    return out
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -232,6 +258,7 @@ def cmd_prep(args):
         raise ValueError(f"--p-max must be in (0, 1], got {args.p_max!r}")
     if args.hvg is not None and args.hvg < 1:
         raise ValueError(f"--hvg must be >= 1, got {args.hvg}")
+    out = check_output_dir(args.out)
     fmt = args.format
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)
@@ -273,11 +300,12 @@ def cmd_prep(args):
             print(f"{args.pathways}: dropped {len(dropped)} gene sets that share no "
                   f"gene with the matrices: {', '.join(dropped)}", file=sys.stderr)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, e in enumerate(aligned[:-1]):
-        write_expression(out / f"source_{i}.{fmt}", e, fmt)
-    write_expression(out / f"target.{fmt}", aligned[-1], fmt)
+    names = [f"source_{i}" for i in range(len(exprs))] + ["target"]
+    for name, e in zip(names, aligned, strict=True):
+        table = out / f"{name}.{fmt}"
+        write_expression(table, e, fmt)
+        dat.write_copy(table, e, fmt)  # train and predict read this instead
     summary = {
         "n_sources": len(exprs),
         "n_genes": aligned[-1].n_genes,
@@ -303,7 +331,7 @@ def cmd_train(args):
         learning_rate=args.learning_rate,
         sampler=args.sampler,
     )
-    out = Path(cfg["output_dir"])
+    out = check_output_dir(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
 
@@ -328,6 +356,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    check_output_files(args.out, args.embeddings)
     cfg = load_config(args.config)
     model, cfg_train, _ = tr.load_checkpoint(args.checkpoint)
     if args.seed is not None:  # TrainConfig checks the seed, as it does in ablate
@@ -347,6 +376,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    check_output_files(args.out)
     ids, scores, inline_labels = ev.read_scores_csv(args.scores)
     if args.labels:
         labels = load_binary_labels(args.labels, ids)
@@ -378,9 +408,9 @@ def cmd_ablate(args):
     seeds = _comma_list("--seeds", args.seeds, int)
     cfg, cfg_train, bundle, labels = load_run(args.config, args.target_labels,
                                               epochs=args.epochs, output_dir=args.out)
+    out = check_output_dir(cfg["output_dir"])
     rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,
                        cfg_train)
-    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
     sy.write_rows_csv(out / "ablation.csv", rows)
@@ -390,6 +420,7 @@ def cmd_ablate(args):
 
 
 def cmd_synth_bench(args):
+    out = check_output_dir(args.out)
     seeds = _comma_list("--seeds", args.seeds, int)
     variants = _comma_list("--variants", args.variants, str)
     synth_cfg = sy.SynthConfig(**_set_flags(
@@ -410,7 +441,6 @@ def cmd_synth_bench(args):
         latent_dim=args.latent_dim,
     ))
     rows = sy.run_benchmark(synth_cfg, variants, seeds, train_cfg=train_cfg)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = {
         "synth": dataclasses.asdict(synth_cfg),

@@ -27,10 +27,24 @@ with or without a byte-order mark; every ``ParseError`` starts with its file
 ends: the header cells and each row's key quoted as ``csv.writer`` quotes
 them, each number as its ``repr``, which never needs quoting and reads back
 bit for bit.
+
+``prep`` leaves a binary copy ``<table>.f8`` beside each expression table it
+writes (``write_copy``), so that ``train`` and ``predict`` need not parse the
+table again. The copy is one JSON header line, then the values as raw
+little-endian float64: the header holds the delimiter, the sha256 of the
+table's bytes as written, the sample ids, the gene names and a sha256 over
+header and values, the framing checkpoints use (``write_framed``).
+``load_expression`` returns the copy's matrix only while it matches its
+table byte for byte and is whole; in every other case it parses the table,
+so a copy never changes a value, never hides a parse error and is always
+safe to delete. No other writer leaves a copy.
 """
 
 import csv
+import hashlib
 import io
+import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -299,11 +313,15 @@ def _expression_header(header):
 
 
 def load_expression(path, fmt="csv"):
-    """Parse an expression matrix file; see the module docstring for layout."""
+    """Parse an expression matrix file, or read its binary copy when that
+    matches it; see the module docstring for both."""
     if fmt not in DELIMS:
         raise ValueError(f"format must be one of {sorted(DELIMS)}, got {fmt!r}")
-    header, ids, values = read_table(path, DELIMS[fmt], _expression_header, "sample")
-    return ExpressionMatrix(ids, [g.strip() for g in header[1:]], values)
+    expr = _read_copy(path, DELIMS[fmt])
+    if expr is None:
+        header, ids, values = read_table(path, DELIMS[fmt], _expression_header, "sample")
+        expr = ExpressionMatrix(ids, [g.strip() for g in header[1:]], values)
+    return expr
 
 
 def _labels_header(header):
@@ -367,6 +385,102 @@ def load_gene_sets(path):
         if not sets:
             raise ParseError("gene set file is empty")
     return sets
+
+
+# ---------------------------------------------------------------------------
+# framed binary files: checkpoints and binary copies of expression tables
+# ---------------------------------------------------------------------------
+
+COPY_SUFFIX = ".f8"
+COPY_KEYS = {"delimiter", "table_sha256", "sample_ids", "gene_names", "sha256"}
+
+
+def _digest(header, body):
+    """sha256 of the canonical header without its ``sha256`` entry, a newline,
+    then the body: the bytes a file without the checksum would hold."""
+    canonical = {k: v for k, v in header.items() if k != "sha256"}
+    h = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode("utf-8") + b"\n")
+    h.update(body)
+    return h.hexdigest()
+
+
+def write_framed(path, header, body):
+    """One JSON line, ``header`` with its ``sha256`` added, then ``body``."""
+    header = {**header, "sha256": _digest(header, body)}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(body)
+
+
+def read_framed_header(fh):
+    """The JSON object on the first line of the binary file ``fh``, which is
+    left at the body; a ``ValueError`` says what is wrong with the line."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ValueError("no header line found")
+    try:
+        header = json.loads(line[:-1].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"unreadable header: {e}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"header is a JSON {type(header).__name__}, not an object")
+    return header
+
+
+def _file_sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def write_copy(table, expr, fmt):
+    """Write ``<table>.f8``, the binary copy of ``expr``, which the table at
+    ``table`` (format ``fmt``) was just written from. Nothing is written for
+    a matrix the table would not read back as: one without rows or genes, with
+    a non-finite value, or with a name that is empty or has padding
+    ``str.strip`` removes."""
+    names = [*expr.sample_ids, *expr.gene_names]
+    if not (expr.n_samples and expr.n_genes and np.isfinite(expr.values).all()
+            and all(n and n == n.strip() for n in names)):
+        return
+    header = {"delimiter": DELIMS[fmt], "table_sha256": _file_sha256(table),
+              "sample_ids": expr.sample_ids, "gene_names": expr.gene_names}
+    body = memoryview(np.ascontiguousarray(expr.values, dtype="<f8").ravel())
+    write_framed(os.fspath(table) + COPY_SUFFIX, header, body)
+
+
+def _read_copy(path, delim):
+    """The matrix in ``path``'s binary copy, or None unless there is one, it
+    is for ``delim``, it holds the sha256 of ``path``'s bytes, and its body
+    has the length and sha256 the header gives."""
+    try:
+        fh = open(os.fspath(path) + COPY_SUFFIX, "rb")
+    except OSError:
+        return None
+    with fh:
+        try:
+            header = read_framed_header(fh)
+        except ValueError:
+            return None
+        if set(header) != COPY_KEYS:
+            return None
+        if header["delimiter"] != delim:
+            return None
+        ids, genes = header["sample_ids"], header["gene_names"]
+        if not (isinstance(ids, list) and isinstance(genes, list)):
+            return None
+        try:
+            if _file_sha256(path) != header["table_sha256"]:
+                return None
+        except OSError:
+            return None
+        size = len(ids) * len(genes)
+        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * size:
+            return None
+        values = np.empty(size, dtype="<f8")
+        fh.readinto(values)
+    if _digest(header, values) != header["sha256"]:
+        return None
+    return ExpressionMatrix(ids, genes, values.reshape(len(ids), len(genes)))
 
 
 # ---------------------------------------------------------------------------

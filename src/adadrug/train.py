@@ -5,8 +5,6 @@ adversarial scheduling via gradient reversal, and bit-exact checkpoints.
 import ctypes
 import dataclasses
 import functools
-import hashlib
-import json
 import math
 import os
 import sys
@@ -20,6 +18,7 @@ from . import data as dat
 from . import kernels
 from . import losses as ls
 from . import model as mdl
+from .data import _digest
 
 CHECKPOINT_VERSION = 2
 HEADER_KEYS = ("format_version", "genes", "seed", "step", "config", "sha256")
@@ -343,15 +342,6 @@ def train(bundle, cfg):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _digest(header, body):
-    """sha256 of the canonical header without its ``sha256`` entry, a newline,
-    then the body: the bytes a file without the checksum would hold."""
-    canonical = {k: v for k, v in header.items() if k != "sha256"}
-    h = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode("utf-8") + b"\n")
-    h.update(body)
-    return h.hexdigest()
-
-
 def save_checkpoint(bundle, cfg, step, path):
     """JSON header line, then ``bundle.flat`` as raw little-endian float64.
 
@@ -370,10 +360,7 @@ def save_checkpoint(bundle, cfg, step, path):
         "step": int(step),
         "config": cfg.to_dict(),
     }
-    header["sha256"] = _digest(header, body)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(body)
+    dat.write_framed(path, header, body)
 
 
 def load_checkpoint(path):
@@ -390,15 +377,10 @@ def load_checkpoint(path):
     except OSError as e:
         raise CheckpointError(f"{path}: cannot open: {e.strerror}") from None
     with fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise CheckpointError("no header line found")
         try:
-            header = json.loads(line[:-1].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"unreadable header: {e}") from None
-        if not isinstance(header, dict):
-            raise CheckpointError(f"header is a JSON {type(header).__name__}, not an object")
+            header = dat.read_framed_header(fh)
+        except ValueError as e:
+            raise CheckpointError(str(e)) from None
         version = header.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint format version {version!r} "
@@ -420,7 +402,7 @@ def load_checkpoint(path):
                 raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
                                       f"not {value!r}")
         specs = build_specs(n_genes, cfg)
-        body = os.fstat(fh.fileno()).st_size - len(line)
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
         need = 8 * mdl.param_count(specs)
         if body != need:
             problem = "truncated parameter block" if body < need else \

@@ -1,6 +1,9 @@
 import csv
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
 
@@ -13,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from adadrug import autodiff as ad
 from adadrug import data as dat
 from adadrug import model as mdl
+from adadrug import synth as sy
 from adadrug import train as tr
 
 # any JSON value a config file or a checkpoint header may hold; the valid
@@ -178,6 +182,21 @@ def _per_cell_read_table(path, delim, check_header, what):
     if not ids:
         raise dat.ParseError(f"line 2: no {what} rows")
     return header, ids, np.array(rows, dtype=np.float64)
+
+
+def run_grid_in_pool(synth, variants, seeds, train_cfg):
+    """``synth.run_grid``'s rows, in (variant, seed) order, with the runs
+    spread over two worker processes, or fewer where fewer CPUs are ours:
+    on one CPU they run here, one after another. Each run is a function of
+    its arguments alone, so the rows are the serial ones bit for bit. Workers
+    are spawned, not forked: this process may already run BLAS threads."""
+    runs = [(v, s) for v in variants for s in seeds]
+    workers = min(2, len(os.sched_getaffinity(0)), len(runs))
+    if workers < 2:
+        return [sy.run_variant(synth, v, s, train_cfg) for v, s in runs]
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(sy.run_variant, repeat(synth), *zip(*runs),
+                             repeat(train_cfg)))
 
 
 def write_v1_checkpoint(path, model, cfg, step):

@@ -20,7 +20,7 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import make_bundle, split_grad
+from conftest import make_bundle, run_grid_in_pool, split_grad
 from oracles import (
     aupr_threshold_sweep,
     auroc_pair_count,
@@ -222,10 +222,11 @@ def test_criterion_3_orthogonality_optimization():
 @pytest.fixture(scope="module")
 def benchmark_table():
     t0 = time.time()
-    rows = sy.run_benchmark(
-        sy.SynthConfig(),
+    rows = run_grid_in_pool(
+        sy.generate(sy.SynthConfig()),
         ["full", "baseline", "no_mda", "no_ind", "no_awg", "full_2src"],
         SEEDS,
+        sy.bench_train_config(),
     )
     elapsed = time.time() - t0
     return sy.summarize(rows), elapsed

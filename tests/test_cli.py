@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,60 @@ def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, comman
     assert _tree(tmp_path) == before
 
 
+# each (command, output) pair and the path given for it that cannot be written:
+# a directory where a file goes, a file where a directory goes, a path under a
+# file, or a file in a directory that does not exist
+OUTPUTS = [("predict", "out", "dir"), ("predict", "embeddings", "dir"),
+           ("predict", "embeddings", "missing_dir"), ("evaluate", "out", "dir"),
+           ("prep", "out", "file"), ("train", "output_dir", "file"),
+           ("train", "output_dir", "under_file"), ("ablate", "out", "file"),
+           ("synth-bench", "out", "file")]
+
+
+@pytest.mark.parametrize("command,which,blocker", OUTPUTS)
+def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
+        tmp_path, capsys, monkeypatch, command, which, blocker):
+    cfg_path, config, target_labels = write_synth_files(tmp_path)
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    scores = tmp_path / "scores.csv"
+    if command == "predict":
+        assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 0
+    if command == "evaluate":
+        ids, _, _ = dat.load_labels(target_labels)
+        ev.write_scores_csv(scores, ids, np.linspace(0, 1, len(ids)))
+    path = tmp_path / "blocked"
+    if blocker == "dir":
+        path.mkdir()
+    elif blocker == "missing_dir":
+        path = path / "embeddings.csv"
+    else:
+        path.write_text("")
+        if blocker == "under_file":
+            path = path / "run"
+    predict = ["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
+    args = {
+        ("predict", "out"): predict + ["--out", str(path)],
+        ("predict", "embeddings"): predict + ["--out", str(tmp_path / "s.csv"),
+                                              "--embeddings", str(path)],
+        ("evaluate", "out"): ["evaluate", "--scores", str(scores), "--labels",
+                              str(target_labels), "--out", str(path)],
+        ("prep", "out"): _prep_args(config, path),
+        ("train", "output_dir"): ["train", "--config", str(cfg_path),
+                                  "--output-dir", str(path)],
+        ("ablate", "out"): ["ablate", "--config", str(cfg_path), "--target-labels",
+                            str(target_labels), "--out", str(path)],
+        ("synth-bench", "out"): ["synth-bench", "--variants", "full", "--epochs", "1",
+                                 "--out", str(path)],
+    }[command, which]
+    trained = []  # the path is refused before any training
+    monkeypatch.setattr(tr, "train", lambda *args: trained.append(args))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert _tree(tmp_path) == before and not trained
+
+
 def test_malformed_expression_file_is_data_error(tmp_path, capsys):
     cfg_path, config, _ = write_synth_files(tmp_path)
     (tmp_path / "target.csv").write_text("sample,g1\nrow1,not_a_number\n")
@@ -429,6 +484,52 @@ def test_prep_train_predict_evaluate_pipeline(tmp_path):
     assert set(metrics) == {"auroc", "aupr", "n_pos", "n_neg", "config_hash"}
     assert 0.0 <= metrics["auroc"] <= 1.0
     assert metrics["config_hash"] is not None
+
+
+def _prep_run(tmp_path):
+    """``prep`` of the synthetic files, and a config that trains on its output:
+    (config path, config, prep directory)."""
+    cfg_path, config, _ = write_synth_files(tmp_path)
+    prep = tmp_path / "prep"
+    assert main(_prep_args(config, prep)) == 0
+    config["sources"][0]["expression"] = str(prep / "source_0.csv")
+    config["sources"][1]["expression"] = str(prep / "source_1.csv")
+    config["target_expression"] = str(prep / "target.csv")
+    cfg_path.write_text(json.dumps(config))
+    return cfg_path, config, prep
+
+
+def test_a_run_on_prep_copies_is_the_run_on_its_tables(tmp_path):
+    cfg_path, _, prep = _prep_run(tmp_path)
+    assert sorted(p.name for p in prep.glob("*.f8")) == \
+        ["source_0.csv.f8", "source_1.csv.f8", "target.csv.f8"]
+
+    def run():
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert main(["predict", "--config", str(cfg_path), "--checkpoint",
+                     str(out / "checkpoint.bin"), "--out", str(out / "scores.csv"),
+                     "--embeddings", str(out / "emb.csv")]) == 0
+        files = _tree(out)
+        shutil.rmtree(out)
+        return files
+
+    with_copies = run()
+    for copy in prep.glob("*.f8"):
+        copy.unlink()
+    assert run() == with_copies
+
+
+def test_a_malformed_table_with_a_stale_copy_exits_2_as_without_one(tmp_path, capsys):
+    cfg_path, _, prep = _prep_run(tmp_path)
+    (prep / "target.csv").write_text("sample,g1\nrow1,not_a_number\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    with_copy = capsys.readouterr().err
+    assert "non-numeric" in with_copy
+    (prep / "target.csv.f8").unlink()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == with_copy
 
 
 def test_train_twice_is_byte_identical(tmp_path):

@@ -265,6 +265,146 @@ def test_read_table_matches_the_per_cell_reader(tmp_path_factory, table, data):
     assert outcome(dat.read_table) == outcome(per_cell_read_table)
 
 
+def _gene(j, delim):
+    """Gene ``j``'s header cell: mostly a plain name, now and then a non-ASCII
+    one or one quoted around the delimiter, a quote, a CR or a LF."""
+    return st.integers(0, 9).map(lambda k: {
+        0: _quoted(f"g{j}{delim}x"), 1: _quoted(f'g{j}"x'), 2: _quoted(f"g{j}\rx"),
+        3: _quoted(f"g{j}\nx"), 4: f"g\u00e8ne{j}", 5: f"\u03b1{j}"}.get(k, f"g{j}"))
+
+
+def _as_parsed(path, fmt):
+    """What parsing the expression table at ``path`` gives, its copy unread:
+    ids, genes and value bytes, or the ``ParseError`` message."""
+    try:
+        head, ids, values = dat.read_table(path, dat.DELIMS[fmt], dat._expression_header,
+                                           "sample")
+    except dat.ParseError as err:
+        return str(err)
+    return ids, [g.strip() for g in head[1:]], values.tobytes()
+
+
+def _as_loaded(path, fmt):
+    """``_as_parsed``, through ``load_expression``."""
+    try:
+        return _loaded(dat.load_expression(path, fmt))
+    except dat.ParseError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("fmt", sorted(dat.DELIMS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_copy_prep_writes_reads_as_its_table_parses(tmp_path_factory, fmt, data):
+    # the expression tables of test_read_table_matches_the_per_cell_reader, with
+    # gene names as awkward as the ids, now and then a non-ASCII id, and no
+    # refused cell form, so that most tables parse
+    delim = dat.DELIMS[fmt]
+    genes = [data.draw(_gene(j, delim), label=f"gene {j}") for j in range(3)]
+    cell = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+
+    def row(i):
+        sid = _id(i, delim) | st.just(f"\u00e9{i}")
+        return st.tuples(sid, cell, cell, cell).map(delim.join)
+
+    lines = [delim.join(["sample", *genes])] + [
+        data.draw(row(i) | st.just(""), label=f"row {i}")
+        for i in range(data.draw(st.integers(0, 5), label="rows"))]
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)), label="ends")
+    work = tmp_path_factory.mktemp("copy")
+    table = work / f"in.{fmt}"
+    table.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
+    out = work / "prep"
+    code = cli.main(["prep", "--sources", str(table), "--target", str(table),
+                     "--out", str(out), "--format", fmt])
+    if isinstance(_as_parsed(table, fmt), str):
+        assert code == 2 and not out.exists()
+        return
+    assert code == 0
+    for name in ("source_0", "target"):
+        written = out / f"{name}.{fmt}"
+        copy = dat._read_copy(written, delim)
+        assert copy is not None
+        assert _loaded(copy) == _as_parsed(written, fmt) == _as_parsed(table, fmt)
+
+
+def _prepped(tmp_path, fmt="csv"):
+    """The target table ``prep`` writes for a small table, beside its copy."""
+    raw = tmp_path / f"raw.{fmt}"
+    cli.write_expression(raw, dat.ExpressionMatrix(
+        ["a", "b", "c"], ["g1", "g2"], np.random.default_rng(3).normal(size=(3, 2))), fmt)
+    assert cli.main(["prep", "--sources", str(raw), "--target", str(raw),
+                     "--out", str(tmp_path / "prep"), "--format", fmt]) == 0
+    table = tmp_path / "prep" / f"target.{fmt}"
+    assert dat._read_copy(table, dat.DELIMS[fmt]) is not None
+    return table
+
+
+def test_a_table_edited_after_prep_loads_its_edited_values(tmp_path):
+    table = _prepped(tmp_path)
+    before = _as_loaded(table, "csv")
+    text = table.read_text()  # each line ends in a digit of a repr
+    digit = text[-2]
+    table.write_text(text[:-2] + str((int(digit) + 1) % 10) + "\n")
+    after = _as_loaded(table, "csv")
+    assert after == _as_parsed(table, "csv") and after != before
+
+
+def _truncated(blob):
+    return blob[:-8]
+
+
+def _bit_flipped(blob):
+    return blob[:-3] + bytes([blob[-3] ^ 1]) + blob[-2:]
+
+
+def _header_garbled(blob):
+    return b"[" + blob[1:]
+
+
+def _id_renamed(blob):
+    return blob.replace(b'"a"', b'"z"', 1)
+
+
+@pytest.mark.parametrize("edit", [_truncated, _bit_flipped, _header_garbled,
+                                  _id_renamed])
+def test_a_damaged_copy_is_passed_over_for_its_table(tmp_path, edit):
+    table = _prepped(tmp_path)
+    copy = tmp_path / "prep" / "target.csv.f8"
+    copy.write_bytes(edit(copy.read_bytes()))
+    assert dat._read_copy(table, ",") is None
+    assert _as_loaded(table, "csv") == _as_parsed(table, "csv")
+
+
+@pytest.mark.parametrize("fmt,other", [("csv", "tsv"), ("tsv", "csv")])
+def test_a_copy_read_with_the_other_format_is_passed_over(tmp_path, fmt, other):
+    table = _prepped(tmp_path, fmt)
+    assert dat._read_copy(table, dat.DELIMS[other]) is None
+    assert _as_loaded(table, other) == _as_parsed(table, other)
+    assert isinstance(_as_parsed(table, other), str)  # a one-column header
+
+
+def test_write_expression_leaves_no_copy(tmp_path):
+    path = tmp_path / "e.csv"
+    cli.write_expression(path, dat.ExpressionMatrix(["a"], ["g"], [[1.0]]))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("ids,values", [
+    (["a", "b"], [[1.0], [np.nan]]),
+    ([" a", "b"], [[1.0], [2.0]]),
+    (["a", ""], [[1.0], [2.0]]),
+], ids=["non_finite", "padded_id", "empty_id"])
+def test_no_copy_is_written_for_a_matrix_its_table_does_not_read_back_as(
+        tmp_path, ids, values):
+    path = tmp_path / "e.csv"
+    m = dat.ExpressionMatrix(ids, ["g"], values)
+    cli.write_expression(path, m)
+    dat.write_copy(path, m, "csv")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("cell,message", [
     ('"' + "x" * FIELD_LIMIT + 'x"',
      f"line 3: field larger than field limit ({FIELD_LIMIT})"),

@@ -6,6 +6,7 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
+from conftest import run_grid_in_pool
 from oracles import least_squares_probe
 
 
@@ -211,16 +212,25 @@ def test_every_variant_clears_sanity_floor_without_shift():
 
 
 def test_shift_degrades_no_mda_at_least_as_much_as_full():
-    def mean_auroc(shift, variant):
+    def mean_aurocs(shift):
         # default feature geometry, reduced sample counts for speed
         cfg = sy.SynthConfig(shift=shift, n_per_domain=200, n_target=200)
-        rows = sy.run_benchmark(cfg, [variant], [0, 1, 2, 3, 4],
-                                train_cfg=sy.bench_train_config(epochs=60))
-        return float(np.mean([r.auroc for r in rows]))
+        rows = run_grid_in_pool(sy.generate(cfg), ["full", "no_mda"], [0, 1, 2, 3, 4],
+                                sy.bench_train_config(epochs=60))
+        return {v: float(np.mean([r.auroc for r in rows if r.variant == v]))
+                for v in ("full", "no_mda")}
 
-    full_drop = mean_auroc(0.3, "full") - mean_auroc(1.5, "full")
-    no_mda_drop = mean_auroc(0.3, "no_mda") - mean_auroc(1.5, "no_mda")
+    near, far = mean_aurocs(0.3), mean_aurocs(1.5)
+    full_drop = near["full"] - far["full"]
+    no_mda_drop = near["no_mda"] - far["no_mda"]
     assert no_mda_drop >= full_drop
+
+
+def test_the_test_pool_gives_the_serial_rows():
+    synth = sy.generate(sy.SynthConfig())
+    cfg = sy.bench_train_config(epochs=2)
+    rows = run_grid_in_pool(synth, ["full", "no_mda"], [0, 1], cfg)
+    assert rows == sy.run_grid(synth, ["full", "no_mda"], [0, 1], cfg)
 
 
 def test_summarize_means():
