@@ -310,6 +310,14 @@ MUTANTS = (
          "[ablate-out-file]",),
     ),
     Mutant(
+        "an_output_compared_by_its_spelling",
+        "src/adadrug/cli.py",
+        "real = os.path.realpath(path)",
+        "real = os.fspath(path)",
+        ("tests/test_cli.py::test_an_output_path_that_cannot_be_written_exits_2_naming_it"
+         "[predict-out-target_via_dotdot]",),
+    ),
+    Mutant(
         "predict_writes_out_before_checking_embeddings",
         "src/adadrug/cli.py",
         "check_output_files(args.out, args.embeddings)",
@@ -405,25 +413,48 @@ MUTANTS = (
     # -- checkpoints -------------------------------------------------------
     Mutant(
         "checkpoint_save_copies_the_body",
-        "src/adadrug/train.py",
-        'body = memoryview(np.ascontiguousarray(bundle.flat, dtype="<f8"))',
-        'body = np.ascontiguousarray(bundle.flat, dtype="<f8").tobytes()',
+        "src/adadrug/data.py",
+        'body = memoryview(np.ascontiguousarray(values, dtype="<f8").ravel())',
+        'body = np.ascontiguousarray(values, dtype="<f8").tobytes()',
         ("tests/test_train.py::test_checkpoint_io_copies_the_parameter_block_once",),
     ),
     Mutant(
         "checkpoint_load_reads_the_body_into_bytes_first",
-        "src/adadrug/train.py",
-        "fh.readinto(flat)",
-        'flat[:] = np.frombuffer(fh.read(), dtype="<f8")',
+        "src/adadrug/data.py",
+        "fh.readinto(values)",
+        'values[:] = np.frombuffer(fh.read(), dtype="<f8")',
         ("tests/test_train.py::test_checkpoint_io_copies_the_parameter_block_once",),
     ),
+    # read_framed's two body checks, which checkpoints and copies share
     Mutant(
         "checkpoint_checksum_not_compared",
-        "src/adadrug/train.py",
-        'if _digest(header, flat) != header["sha256"]:',
+        "src/adadrug/data.py",
+        'if _digest(header, values) != header.get("sha256"):',
         "if False:",
         ("tests/test_train.py::test_checkpoint_flipped_body_bit_is_checkpoint_error",
-         "tests/test_train.py::test_checkpoint_swapped_array_entries_are_checkpoint_error"),
+         "tests/test_train.py::test_checkpoint_swapped_array_entries_are_checkpoint_error",
+         "tests/test_data.py::test_a_damaged_copy_is_passed_over_for_its_table"
+         "[_bit_flipped]"),
+    ),
+    Mutant(
+        "framed_body_may_run_past_its_values",
+        "src/adadrug/data.py",
+        "if size != need:",
+        "if size < need:",
+        ("tests/test_train.py::test_checkpoint_truncation_detected",
+         "tests/test_data.py::test_a_damaged_copy_is_passed_over_for_its_table"
+         "[_trailing_bytes]"),
+    ),
+    Mutant(
+        "checkpoint_errors_do_not_name_their_file",
+        "src/adadrug/train.py",
+        'raise CheckpointError(f"{path}: {e}") from None',
+        "raise CheckpointError(str(e)) from None",
+        (*(f"tests/test_train.py::test_every_checkpoint_error_starts_with_the_path[{c}]"
+           for c in ("truncated_body", "no_header_line", "garbled_header", "flipped_bit",
+                     "other_version", "empty")),
+         "tests/test_cli.py::test_an_input_that_is_a_directory_exits_2_naming_it"
+         "[predict-checkpoint-truncated]"),
     ),
     Mutant(
         "a_checkpoint_directory_escapes_load_checkpoint",
@@ -457,16 +488,27 @@ MUTANTS = (
          "tests/test_evaluate.py::test_auroc_matches_pair_count_oracle_with_ties"),
     ),
     Mutant(
+        "every_run_scored_weighted",
+        "src/adadrug/evaluate.py",
+        "return sources if cfg.awg_active else None",
+        "return sources",
+        ("tests/test_cli.py::test_only_a_run_whose_generator_trained_is_scored_weighted",
+         *(f"tests/test_synth.py::"
+           f"test_run_variant_weights_only_a_run_whose_generator_trained[{v}-False]"
+           for v in ("baseline", "no_mda", "no_awg"))),
+    ),
+    # each caller must go through the one rule rather than pass its sources on
+    Mutant(
         "cli_scores_every_run_weighted",
         "src/adadrug/cli.py",
-        "refs = sources if cfg_train.awg_active else None",
-        "refs = sources",
+        "ev.scoring_sources(cfg_train, sources),",
+        "sources,",
         ("tests/test_cli.py::test_only_a_run_whose_generator_trained_is_scored_weighted",),
     ),
     Mutant(
         "synth_scores_every_run_weighted",
         "src/adadrug/synth.py",
-        "sources=bundle.sources if cfg.awg_active else None,",
+        "sources=ev.scoring_sources(cfg, bundle.sources),",
         "sources=bundle.sources,",
         tuple(f"tests/test_synth.py::"
               f"test_run_variant_weights_only_a_run_whose_generator_trained[{v}-False]"

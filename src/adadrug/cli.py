@@ -148,6 +148,19 @@ def check_output_files(*paths):
             raise ValueError(f"{path}: its directory does not exist")
 
 
+def check_distinct_outputs(outputs, inputs):
+    """Refuse, naming it, each given output path that is one of the given
+    ``inputs`` or an earlier output. Paths are compared after
+    ``os.path.realpath``, so another spelling of one, through ``..`` or a
+    link, is refused too. Called before a command writes its first output."""
+    seen = {os.path.realpath(p): "an input" for p in filter(None, inputs)}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{path}: would overwrite {seen[real]} of this command")
+        seen[real] = "another output"
+
+
 def check_output_dir(path):
     """``path`` as a ``Path``, refused, naming it, where no directory can be
     made: it, or the nearest of its parents that exists, is not one. A
@@ -235,8 +248,8 @@ def load_run(config, target_labels=None, **flags):
 def _score_target(model, cfg_train, sources, target, seed):
     """Target scores and the embeddings they were scored from; the sources
     weight them only for a run whose generator trained."""
-    refs = sources if cfg_train.awg_active else None
-    z = ev.embed_target(model, target, refs, cfg_train.ref_batch, seed)
+    z = ev.embed_target(model, target, ev.scoring_sources(cfg_train, sources),
+                        cfg_train.ref_batch, seed)
     return mdl.predict(model, z).ravel(), z
 
 
@@ -358,6 +371,9 @@ def cmd_train(args):
 def cmd_predict(args):
     check_output_files(args.out, args.embeddings)
     cfg = load_config(args.config)
+    check_distinct_outputs((args.out, args.embeddings), (
+        args.config, args.checkpoint, cfg["target_expression"], cfg["gene_list"],
+        *(s["expression"] for s in cfg["sources"])))
     model, cfg_train, _ = tr.load_checkpoint(args.checkpoint)
     if args.seed is not None:  # TrainConfig checks the seed, as it does in ablate
         cfg_train = dataclasses.replace(cfg_train, seed=args.seed)
@@ -377,6 +393,7 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     check_output_files(args.out)
+    check_distinct_outputs((args.out,), (args.scores, args.labels, args.config))
     ids, scores, inline_labels = ev.read_scores_csv(args.scores)
     if args.labels:
         labels = load_binary_labels(args.labels, ids)

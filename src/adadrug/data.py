@@ -30,10 +30,11 @@ bit for bit.
 
 ``prep`` leaves a binary copy ``<table>.f8`` beside each expression table it
 writes (``write_copy``), so that ``train`` and ``predict`` need not parse the
-table again. The copy is one JSON header line, then the values as raw
-little-endian float64: the header holds the delimiter, the sha256 of the
-table's bytes as written, the sample ids, the gene names and a sha256 over
-header and values, the framing checkpoints use (``write_framed``).
+table again. Copies and checkpoints are framed files, which only
+``write_framed`` writes and only ``read_framed`` reads: one JSON header line
+with a sha256 over header and body, then float64 values as raw little-endian
+bytes. A copy's header adds the delimiter, the sha256 of the table's bytes as
+written, the sample ids and the gene names.
 ``load_expression`` returns the copy's matrix only while it matches its
 table byte for byte and is whole; in every other case it parses the table,
 so a copy never changes a value, never hides a parse error and is always
@@ -404,27 +405,44 @@ def _digest(header, body):
     return h.hexdigest()
 
 
-def write_framed(path, header, body):
-    """One JSON line, ``header`` with its ``sha256`` added, then ``body``."""
+def write_framed(path, header, values):
+    """One JSON line, ``header`` with its ``sha256`` added, then the float64
+    array ``values`` as raw little-endian float64, in C order."""
+    # on a little-endian machine a view of values, hashed and written uncopied
+    body = memoryview(np.ascontiguousarray(values, dtype="<f8").ravel())
     header = {**header, "sha256": _digest(header, body)}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fh.write(body)
 
 
-def read_framed_header(fh):
-    """The JSON object on the first line of the binary file ``fh``, which is
-    left at the body; a ``ValueError`` says what is wrong with the line."""
-    line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise ValueError("no header line found")
-    try:
-        header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValueError(f"unreadable header: {e}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"header is a JSON {type(header).__name__}, not an object")
-    return header
+def read_framed(path, count):
+    """``(header, values)`` of the framed file at ``path``. ``count(header)``
+    checks the header and returns how many values the body must hold. Each
+    fault raises ``ValueError``: a first line that is not a JSON object, a
+    header ``count`` refuses, a body of another length or a ``sha256`` that
+    does not match. The ``OSError`` of a path that cannot be opened goes to
+    the caller. The body is read straight into the returned array."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError("no header line found")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValueError(f"unreadable header: {e}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"header is a JSON {type(header).__name__}, not an object")
+        need = 8 * count(header)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != need:
+            problem = "truncated body" if size < need else "trailing bytes after the body"
+            raise ValueError(f"{problem}: it holds {size} bytes; the header implies {need}")
+        values = np.empty(need // 8, dtype="<f8")
+        fh.readinto(values)
+    if _digest(header, values) != header.get("sha256"):
+        raise ValueError("sha256 mismatch: the file was edited or corrupted")
+    return header, values
 
 
 def _file_sha256(path):
@@ -444,42 +462,31 @@ def write_copy(table, expr, fmt):
         return
     header = {"delimiter": DELIMS[fmt], "table_sha256": _file_sha256(table),
               "sample_ids": expr.sample_ids, "gene_names": expr.gene_names}
-    body = memoryview(np.ascontiguousarray(expr.values, dtype="<f8").ravel())
-    write_framed(os.fspath(table) + COPY_SUFFIX, header, body)
+    write_framed(os.fspath(table) + COPY_SUFFIX, header, expr.values)
 
 
 def _read_copy(path, delim):
     """The matrix in ``path``'s binary copy, or None unless there is one, it
-    is for ``delim``, it holds the sha256 of ``path``'s bytes, and its body
-    has the length and sha256 the header gives."""
-    try:
-        fh = open(os.fspath(path) + COPY_SUFFIX, "rb")
-    except OSError:
-        return None
-    with fh:
-        try:
-            header = read_framed_header(fh)
-        except ValueError:
-            return None
+    is for ``delim``, it holds the sha256 of ``path``'s bytes, and
+    ``read_framed`` takes its body."""
+
+    def count(header):
         if set(header) != COPY_KEYS:
-            return None
+            raise ValueError("not a copy's header keys")
         if header["delimiter"] != delim:
-            return None
+            raise ValueError("a copy for another format")
         ids, genes = header["sample_ids"], header["gene_names"]
         if not (isinstance(ids, list) and isinstance(genes, list)):
-            return None
-        try:
-            if _file_sha256(path) != header["table_sha256"]:
-                return None
-        except OSError:
-            return None
-        size = len(ids) * len(genes)
-        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * size:
-            return None
-        values = np.empty(size, dtype="<f8")
-        fh.readinto(values)
-    if _digest(header, values) != header["sha256"]:
+            raise ValueError("sample ids or gene names not a list")
+        if _file_sha256(path) != header["table_sha256"]:
+            raise ValueError("a copy of other table bytes")
+        return len(ids) * len(genes)
+
+    try:
+        header, values = read_framed(os.fspath(path) + COPY_SUFFIX, count)
+    except (OSError, ValueError):
         return None
+    ids, genes = header["sample_ids"], header["gene_names"]
     return ExpressionMatrix(ids, genes, values.reshape(len(ids), len(genes)))
 
 

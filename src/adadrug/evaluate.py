@@ -4,8 +4,9 @@ metrics, and the scores and embeddings CSV exports.
 Scoring is weighted only when source domains are passed: each target
 embedding is then modulated by its mean importance weights against source
 references. ``cli`` (``train --target-labels``, ``predict``, ``ablate``) and
-``synth.run_variant`` (``synth-bench``) pass the sources only for a run whose
-weight generator trained, that is with ``awg`` and ``mda`` both on.
+``synth.run_variant`` (``synth-bench``) take the sources to pass from
+``scoring_sources``: them only for a run whose weight generator trained, that
+is with ``awg`` and ``mda`` both on.
 """
 
 from dataclasses import dataclass
@@ -148,6 +149,12 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
                             gap.reshape(-1, d))
         w.reshape(len(block), m, d).mean(axis=1, out=w_mean[start : start + chunk])
     return w_mean
+
+
+def scoring_sources(cfg, sources):
+    """``sources`` for a run whose weight generator trained (``cfg.awg_active``),
+    else None: what target scoring is weighted against."""
+    return sources if cfg.awg_active else None
 
 
 def embed_target(bundle, target, sources=None, ref_batch=128, seed=0):

@@ -158,7 +158,7 @@ def run_variant(synth, variant, seed, train_cfg):
     scores = ev.predict_target(
         model,
         synth.bundle.target,
-        sources=bundle.sources if cfg.awg_active else None,
+        sources=ev.scoring_sources(cfg, bundle.sources),
         ref_batch=cfg.ref_batch,
         seed=seed,
     )

@@ -18,7 +18,6 @@ from . import data as dat
 from . import kernels
 from . import losses as ls
 from . import model as mdl
-from .data import _digest
 
 CHECKPOINT_VERSION = 2
 HEADER_KEYS = ("format_version", "genes", "seed", "step", "config", "sha256")
@@ -343,7 +342,7 @@ def train(bundle, cfg):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(bundle, cfg, step, path):
-    """JSON header line, then ``bundle.flat`` as raw little-endian float64.
+    """``data.write_framed`` of ``bundle.flat`` under the checkpoint header.
 
     The header states the model shape once, as ``genes`` and ``config``; a
     bundle whose specs ``cfg`` does not imply is refused, so no file is
@@ -351,8 +350,6 @@ def save_checkpoint(bundle, cfg, step, path):
     """
     if bundle.specs != build_specs(bundle.n_genes, cfg):
         raise ValueError("bundle specs are not the ones its training config implies")
-    # on a little-endian machine a view of flat, hashed and written uncopied
-    body = memoryview(np.ascontiguousarray(bundle.flat, dtype="<f8"))
     header = {
         "format_version": CHECKPOINT_VERSION,
         "genes": bundle.n_genes,
@@ -360,59 +357,51 @@ def save_checkpoint(bundle, cfg, step, path):
         "step": int(step),
         "config": cfg.to_dict(),
     }
-    dat.write_framed(path, header, body)
+    dat.write_framed(path, header, bundle.flat)
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (ModelBundle, TrainConfig, step).
 
     Every header field is checked first, so a malformed, missing or unknown
-    one raises ``CheckpointError`` naming it. The model shape is rebuilt from
-    ``genes`` and ``config``, the body must hold exactly its parameters, and
-    then the ``sha256`` must match, so an edited or corrupted value anywhere
-    in the file is refused too.
+    one is refused naming it. The model shape is rebuilt from ``genes`` and
+    ``config``, then ``data.read_framed`` checks that the body holds exactly
+    its parameters and that the ``sha256`` matches, so an edited or
+    corrupted value anywhere in the file is refused too. Every refusal is a
+    ``CheckpointError`` whose message starts with ``path``.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise CheckpointError(f"{path}: cannot open: {e.strerror}") from None
-    with fh:
-        try:
-            header = dat.read_framed_header(fh)
-        except ValueError as e:
-            raise CheckpointError(str(e)) from None
+    fields = None
+
+    def count(header):
+        nonlocal fields
         version = header.get("format_version")
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint format version {version!r} "
-                                  f"(expected {CHECKPOINT_VERSION})")
+            raise ValueError(f"unsupported checkpoint format version {version!r} "
+                             f"(expected {CHECKPOINT_VERSION})")
         missing = [k for k in HEADER_KEYS if k not in header]
         if missing:
-            raise CheckpointError(f"header is missing {missing}")
+            raise ValueError(f"header is missing {missing}")
         unknown = sorted(set(header) - set(HEADER_KEYS))
         if unknown:
-            raise CheckpointError(f"header has unknown keys {unknown}")
+            raise ValueError(f"header has unknown keys {unknown}")
         try:
             cfg = TrainConfig.from_dict(header["config"])
         except (TypeError, ValueError) as e:
-            raise CheckpointError(f"header 'config' is malformed: {e}") from None
+            raise ValueError(f"header 'config' is malformed: {e}") from None
         n_genes, seed, step = header["genes"], header["seed"], header["step"]
         for key, value, least in (("genes", n_genes, 1), ("seed", seed, 0),
                                   ("step", step, 0)):
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise CheckpointError(f"header '{key}' must be an integer >= {least}, "
-                                      f"not {value!r}")
-        specs = build_specs(n_genes, cfg)
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
-        need = 8 * mdl.param_count(specs)
-        if body != need:
-            problem = "truncated parameter block" if body < need else \
-                "trailing bytes after parameter blocks"
-            raise CheckpointError(f"{problem}: the body holds {body} bytes; the "
-                                  f"header's config implies {need} for {n_genes} genes")
-        # the one copy of the parameters: the body is read straight into it
-        flat = np.empty(need // 8, dtype="<f8")
-        fh.readinto(flat)
-    if _digest(header, flat) != header["sha256"]:
-        raise CheckpointError("sha256 mismatch: the header or the parameters were "
-                              "edited or corrupted")
+                raise ValueError(f"header '{key}' must be an integer >= {least}, "
+                                 f"not {value!r}")
+        fields = cfg, build_specs(n_genes, cfg), seed, step
+        return mdl.param_count(fields[1])
+
+    try:
+        _, flat = dat.read_framed(path, count)
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot open: {e.strerror}") from None
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    cfg, specs, seed, step = fields
     return mdl.ModelBundle(specs=specs, flat=flat, seed=seed), cfg, step

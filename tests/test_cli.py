@@ -187,9 +187,36 @@ def _tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
-@pytest.mark.parametrize("command,which", INPUT_FILES)
+# what is wrong with the input file: it is a directory, it is missing, it is
+# not UTF-8 (a text input), or it is cut off inside its last record: a sample
+# table after the last row's id, a config halfway, a checkpoint inside its
+# last value. A gene list or gene-set file cut short is still a valid file.
+TRUNCATED = {"checkpoint", "config", "source_expression", "target_expression",
+             "deg_a", "deg_b", "source_labels", "target_labels", "scores"}
+INPUT_CASES = [
+    # a directory case is named by its pair alone
+    pytest.param(command, which, fault,
+                 id="-".join([command, which] + [fault] * (fault != "dir")))
+    for command, which in INPUT_FILES
+    for fault in ("dir", "missing", "not_utf8", "truncated")
+    if (fault != "not_utf8" or which != "checkpoint")
+    and (fault != "truncated" or which in TRUNCATED)
+]
+
+
+def _cut_short(path):
+    blob = path.read_bytes()
+    if path.suffix == ".bin":
+        return blob[:-12]
+    if path.suffix == ".json":
+        return blob[:len(blob) // 2]
+    head, _, last = blob.rstrip(b"\n").rpartition(b"\n")
+    return head + b"\n" + last[:last.index(b",")]
+
+
+@pytest.mark.parametrize("command,which,fault", INPUT_CASES)
 def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, command,
-                                                        which):
+                                                        which, fault):
     cfg_path, config, target_labels = write_synth_files(tmp_path)
     gene_list = tmp_path / "genes.txt"
     gene_list.write_text("g0\ng1\ng2\n")
@@ -231,8 +258,14 @@ def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, comman
         "target_labels": target_labels, "deg_a": deg_a, "deg_b": deg_b,
         "pathways": pathways,
     }[which])
-    path.unlink()
-    path.mkdir()
+    if fault == "not_utf8":
+        path.write_bytes("\u00e8".encode("latin-1") + path.read_bytes())
+    elif fault == "truncated":
+        path.write_bytes(_cut_short(path))
+    else:
+        path.unlink()
+        if fault == "dir":
+            path.mkdir()
     before = _tree(tmp_path)
     capsys.readouterr()
     assert main(args) == 2
@@ -242,18 +275,28 @@ def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, comman
 
 # each (command, output) pair and the path given for it that cannot be written:
 # a directory where a file goes, a file where a directory goes, a path under a
-# file, or a file in a directory that does not exist
+# file, a file in a directory that does not exist, or a file the command reads
+# or writes besides, named or spelled through ".."
 OUTPUTS = [("predict", "out", "dir"), ("predict", "embeddings", "dir"),
            ("predict", "embeddings", "missing_dir"), ("evaluate", "out", "dir"),
            ("prep", "out", "file"), ("train", "output_dir", "file"),
            ("train", "output_dir", "under_file"), ("ablate", "out", "file"),
-           ("synth-bench", "out", "file")]
+           ("synth-bench", "out", "file"),
+           ("predict", "out", "target"), ("predict", "out", "target_via_dotdot"),
+           ("predict", "out", "checkpoint"), ("predict", "out", "config"),
+           ("predict", "embeddings", "source"), ("predict", "embeddings", "gene_list"),
+           ("predict", "embeddings", "out"), ("evaluate", "out", "scores"),
+           ("evaluate", "out", "labels"), ("evaluate", "out", "config")]
 
 
 @pytest.mark.parametrize("command,which,blocker", OUTPUTS)
 def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
         tmp_path, capsys, monkeypatch, command, which, blocker):
     cfg_path, config, target_labels = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g0\ng1\ng2\n")
+    config["gene_list"] = str(gene_list)
+    cfg_path.write_text(json.dumps(config))
     ckpt = tmp_path / "run" / "checkpoint.bin"
     scores = tmp_path / "scores.csv"
     if command == "predict":
@@ -261,12 +304,18 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
     if command == "evaluate":
         ids, _, _ = dat.load_labels(target_labels)
         ev.write_scores_csv(scores, ids, np.linspace(0, 1, len(ids)))
-    path = tmp_path / "blocked"
+    path = {
+        "target": Path(config["target_expression"]),
+        "target_via_dotdot": tmp_path / "run" / ".." / "target.csv",
+        "checkpoint": ckpt, "config": cfg_path, "gene_list": gene_list,
+        "source": Path(config["sources"][0]["expression"]),
+        "out": tmp_path / "s.csv", "scores": scores, "labels": target_labels,
+    }.get(blocker, tmp_path / "blocked")
     if blocker == "dir":
         path.mkdir()
     elif blocker == "missing_dir":
         path = path / "embeddings.csv"
-    else:
+    elif blocker in ("file", "under_file"):
         path.write_text("")
         if blocker == "under_file":
             path = path / "run"
@@ -276,7 +325,8 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
         ("predict", "embeddings"): predict + ["--out", str(tmp_path / "s.csv"),
                                               "--embeddings", str(path)],
         ("evaluate", "out"): ["evaluate", "--scores", str(scores), "--labels",
-                              str(target_labels), "--out", str(path)],
+                              str(target_labels), "--config", str(cfg_path),
+                              "--out", str(path)],
         ("prep", "out"): _prep_args(config, path),
         ("train", "output_dir"): ["train", "--config", str(cfg_path),
                                   "--output-dir", str(path)],
@@ -1198,7 +1248,7 @@ def _edit_config(cfg):
 @pytest.mark.parametrize("edit,message", [
     (lambda c: c.update(ref_batch=0), "ref_batch: must be >= 1"),
     (lambda c: c.update(mda="no"), "mda: must be a boolean"),
-    (_edit_config, "config implies"),
+    (_edit_config, "the header implies"),
 ], ids=["ref_batch_0", "mda_no", "config_contradicts_specs"])
 def test_predict_on_checkpoint_with_bad_config_exits_2(tmp_path, capsys, edit, message):
     cfg_path, _, _ = write_synth_files(tmp_path)

@@ -367,8 +367,17 @@ def _id_renamed(blob):
     return blob.replace(b'"a"', b'"z"', 1)
 
 
+def _trailing_bytes(blob):
+    return blob + bytes(8)
+
+
+def _header_in_a_list(blob):
+    head, body = blob.split(b"\n", 1)
+    return b"[" + head + b"]\n" + body
+
+
 @pytest.mark.parametrize("edit", [_truncated, _bit_flipped, _header_garbled,
-                                  _id_renamed])
+                                  _id_renamed, _trailing_bytes, _header_in_a_list])
 def test_a_damaged_copy_is_passed_over_for_its_table(tmp_path, edit):
     table = _prepped(tmp_path)
     copy = tmp_path / "prep" / "target.csv.f8"

@@ -594,16 +594,20 @@ def test_checkpoint_header_json_list_is_checkpoint_error(tmp_path):
         tr.load_checkpoint(path)
 
 
+TRUNCATED = r"truncated body: it holds \d+ bytes; the header implies \d+$"
+TRAILING = r"trailing bytes after the body: it holds \d+ bytes; the header implies \d+$"
+
+
 @pytest.mark.parametrize("edit,message", [
     # the body holds a latent-4 model with a relu generator: a config that
     # implies another parameter count does not fit it, and one that keeps the
     # count still changes the checksummed header
     ({"latent_dim": 64, "gen_out_activation": "sigmoid", "encoder_hidden": 999},
-     "truncated.*config implies"),
-    ({"encoder_hidden": 999}, "truncated.*config implies"),
+     TRUNCATED),
+    ({"encoder_hidden": 999}, TRUNCATED),
     ({"gen_out_activation": "sigmoid"}, "sha256 mismatch"),
-    ({"pred_hidden": 5}, "truncated.*config implies"),
-    ({"pred_hidden": 3}, "trailing.*config implies"),
+    ({"pred_hidden": 5}, TRUNCATED),
+    ({"pred_hidden": 3}, TRAILING),
     ({"ref_batch": 7}, "sha256 mismatch"),
     ({"ref_batch": 0}, "config.*ref_batch: must be >= 1"),
     ({"mda": "no"}, "config.*mda: must be a boolean"),
@@ -632,6 +636,23 @@ def test_checkpoint_sha256_of_another_value_is_checkpoint_error(tmp_path, value)
     _rewrite_header(path, lambda h: h.update(sha256=value))
     with pytest.raises(tr.CheckpointError, match="sha256 mismatch"):
         tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:-16],
+    lambda blob: blob[:20],
+    lambda blob: b"#" + blob[1:],
+    lambda blob: blob[:-3] + bytes([blob[-3] ^ 0x10]) + blob[-2:],
+    lambda blob: blob.replace(b'"format_version": 2', b'"format_version": 9', 1),
+    lambda blob: b"",
+], ids=["truncated_body", "no_header_line", "garbled_header", "flipped_bit",
+        "other_version", "empty"])
+def test_every_checkpoint_error_starts_with_the_path(tmp_path, damage):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(tr.CheckpointError) as err:
+        tr.load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_save_checkpoint_refuses_specs_its_config_does_not_imply(tmp_path):
