@@ -77,6 +77,13 @@ MUTANTS = (
         ("tests/test_data.py::test_assemble_batches_pairs_each_row_with_its_own_label",),
     ),
     Mutant(
+        "assemble_batches_builds_the_epoch_list_again",
+        "src/adadrug/data.py",
+        "return _gather_batches(bundle, streams, n_batches, batch_size)",
+        "return list(_gather_batches(bundle, streams, n_batches, batch_size))",
+        ("tests/test_data.py::test_an_epoch_holds_one_tuple_batch_at_a_time",),
+    ),
+    Mutant(
         "read_table_finite_check_removed",
         "src/adadrug/data.py",
         "parsed = np.isfinite(row).all()",
@@ -195,6 +202,18 @@ MUTANTS = (
          "test_bad_target_labels_exit_2_before_training_or_writing[other_ids-train]",
          "tests/test_cli.py::"
          "test_bad_target_labels_exit_2_before_training_or_writing[other_ids-ablate]"),
+    ),
+    Mutant(
+        "prep_overwrites_its_inputs",
+        "src/adadrug/cli.py",
+        "check_distinct_outputs(\n        [*tables,",
+        "(lambda *paths: None)(\n        [*tables,",
+        tuple(f"tests/test_cli.py::test_an_output_that_is_an_input_exits_2_naming_it[{c}]"
+              for c in ("prep-source_expression-target.csv",
+                        "prep-target_expression-source_0.csv",
+                        "prep-source_expression-source_1.csv.f8",
+                        "prep-gene_list-prep_summary.json",
+                        "prep-pathways-target.csv.f8")),
     ),
     Mutant(
         "prep_writes_selection_order",

@@ -228,15 +228,21 @@ def load_binary_labels(path, sample_ids):
     return labels
 
 
-def load_run(config, target_labels=None, **flags):
+def load_run(config, target_labels=None, run_files=(), **flags):
     """The inputs of a training run, all read and checked before anything is
     written: ``(cfg, cfg_train, bundle, labels)``. The config file is
     checked on its own, then the ``flags`` that are not None (``output_dir``
     or ``TrainConfig`` fields) replace its keys and ``validate_config``
-    checks the result again, so a flag obeys its key's rules. ``cfg`` is what
-    ``effective_config.json`` echoes; ``labels`` is None without a
-    ``target_labels`` file."""
+    checks the result again, so a flag obeys its key's rules. Before any
+    data is read, each of ``run_files`` (names in ``output_dir``) is refused
+    if it is the config, the labels file or a path the config names.
+    ``cfg`` is what ``effective_config.json`` echoes; ``labels`` is None
+    without a ``target_labels`` file."""
     cfg = validate_config({**load_config(config), **_set_flags(**flags)})
+    check_distinct_outputs(
+        [Path(cfg["output_dir"]) / name for name in filter(None, run_files)],
+        [config, target_labels, cfg["target_expression"], cfg["gene_list"],
+         *(s[k] for s in cfg["sources"] for k in ("expression", "labels"))])
     cfg_train = TrainConfig(**{k: cfg[k] for k in _TRAIN_FIELDS})
     bundle = load_bundle(cfg)
     labels = None
@@ -273,6 +279,12 @@ def cmd_prep(args):
         raise ValueError(f"--hvg must be >= 1, got {args.hvg}")
     out = check_output_dir(args.out)
     fmt = args.format
+    names = [f"source_{i}" for i in range(len(args.sources))] + ["target"]
+    tables = [out / f"{name}.{fmt}" for name in names]
+    check_distinct_outputs(
+        [*tables, *(f"{t}{dat.COPY_SUFFIX}" for t in tables), out / "prep_summary.json"],
+        [*args.sources, args.target, args.gene_list, args.deg_a, args.deg_b,
+         args.pathways])
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)
 
@@ -314,9 +326,7 @@ def cmd_prep(args):
                   f"gene with the matrices: {', '.join(dropped)}", file=sys.stderr)
 
     out.mkdir(parents=True, exist_ok=True)
-    names = [f"source_{i}" for i in range(len(exprs))] + ["target"]
-    for name, e in zip(names, aligned, strict=True):
-        table = out / f"{name}.{fmt}"
+    for table, e in zip(tables, aligned, strict=True):
         write_expression(table, e, fmt)
         dat.write_copy(table, e, fmt)  # train and predict read this instead
     summary = {
@@ -337,6 +347,8 @@ def cmd_train(args):
     cfg, cfg_train, bundle, labels = load_run(
         args.config,
         args.target_labels,
+        ("effective_config.json", "checkpoint.bin", "history.csv", "metrics.json",
+         "scores.csv" if args.target_labels else None),
         output_dir=args.output_dir,
         seed=args.seed,
         epochs=args.epochs,
@@ -423,8 +435,10 @@ def _comma_list(flag, text, item):
 
 def cmd_ablate(args):
     seeds = _comma_list("--seeds", args.seeds, int)
-    cfg, cfg_train, bundle, labels = load_run(args.config, args.target_labels,
-                                              epochs=args.epochs, output_dir=args.out)
+    cfg, cfg_train, bundle, labels = load_run(
+        args.config, args.target_labels,
+        ("effective_config.json", "ablation.csv", "ablation_summary.json"),
+        epochs=args.epochs, output_dir=args.out)
     out = check_output_dir(cfg["output_dir"])
     rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,
                        cfg_train)

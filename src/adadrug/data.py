@@ -39,6 +39,11 @@ written, the sample ids and the gene names.
 table byte for byte and is whole; in every other case it parses the table,
 so a copy never changes a value, never hides a parse error and is always
 safe to delete. No other writer leaves a copy.
+
+``assemble_batches`` draws an epoch's index streams when it is called and
+then yields its tuple batches one at a time, gathering each batch's rows only
+when the training loop asks for it: a step holds one batch, O((K+1)·B·G)
+values, never the epoch's O((K+1)·N_max·G).
 """
 
 import csv
@@ -496,7 +501,9 @@ def _read_copy(path, delim):
 
 def align_genes(matrices, genes=None):
     """Restrict all matrices to the genes all of them have: only those in
-    ``genes``, in its order, if given, else in the first matrix's order."""
+    ``genes``, in its order, if given, else in the first matrix's order. A
+    matrix that already holds just those genes in that order is returned as
+    it is, not copied."""
     if len(matrices) < 2:
         raise ValueError("align_genes needs at least two matrices")
     common = set(matrices[0].gene_names)
@@ -507,7 +514,8 @@ def align_genes(matrices, genes=None):
     if not ordered:
         raise ValueError("gene intersection is empty" if genes is None else
                          "gene intersection holds none of the selected genes")
-    return [m.subset_genes(ordered) for m in matrices]
+    return [m if m.gene_names == ordered else m.subset_genes(ordered)
+            for m in matrices]
 
 
 def binarize_ic50(ic50):
@@ -740,11 +748,15 @@ def epoch_length(bundle, batch_size):
 
 
 def assemble_batches(bundle, batch_size, seed=0, epoch=0):
-    """One epoch of tuple batches, ``epoch_length`` of them.
+    """One epoch of tuple batches, ``epoch_length`` of them, yielded one at a
+    time.
 
     Every domain (sources and target) is shuffled independently and cycled
     through repeated shuffles when exhausted, and tuple i pairs the i-th draw
-    of each stream. Fully deterministic given (seed, epoch).
+    of each stream. Fully deterministic given (seed, epoch). The call checks
+    ``batch_size`` and draws every index stream; a batch's rows are gathered
+    only when the loop asks for it, so an epoch holds one batch, not
+    (K+1)·``epoch_length``·B rows.
     """
     n_batches = epoch_length(bundle, batch_size)
     n_draws = n_batches * batch_size
@@ -752,14 +764,17 @@ def assemble_batches(bundle, batch_size, seed=0, epoch=0):
     for s, size in enumerate(_domain_sizes(bundle)):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(epoch), s)))
         streams.append(_index_stream(size, n_draws, rng))
-    batches = []
+    return _gather_batches(bundle, streams, n_batches, batch_size)
+
+
+def _gather_batches(bundle, streams, n_batches, batch_size):
+    """``assemble_batches``' batches, each gathered when it is asked for."""
     for b in range(n_batches):
         sl = slice(b * batch_size, (b + 1) * batch_size)
         xs = [d.expr.values[streams[k][sl]] for k, d in enumerate(bundle.sources)]
         ys = [d.labels[streams[k][sl]] for k, d in enumerate(bundle.sources)]
         xt = bundle.target.values[streams[-1][sl]]
-        batches.append(TupleBatch(xs, ys, xt))
-    return batches
+        yield TupleBatch(xs, ys, xt)
 
 
 # ---------------------------------------------------------------------------

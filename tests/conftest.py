@@ -231,6 +231,27 @@ def swap_body_blocks(path, model, first, second):
     path.write_bytes(head + b"\n" + body)
 
 
+def eager_batches(bundle, batch_size, seed=0, epoch=0):
+    """The reference for ``data.assemble_batches``: the same index streams,
+    every batch of the epoch gathered into one list before it returns."""
+    n_batches = dat.epoch_length(bundle, batch_size)
+    n_draws = n_batches * batch_size
+    sizes = [d.expr.n_samples for d in bundle.sources] + [bundle.target.n_samples]
+    streams = []
+    for s, size in enumerate(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, epoch, s)))
+        shuffles = [rng.permutation(size) for _ in range(-(-n_draws // size))]
+        streams.append(np.concatenate(shuffles)[:n_draws])
+    batches = []
+    for b in range(n_batches):
+        sl = slice(b * batch_size, (b + 1) * batch_size)
+        xs = [d.expr.values[streams[k][sl]] for k, d in enumerate(bundle.sources)]
+        ys = [d.labels[streams[k][sl]] for k, d in enumerate(bundle.sources)]
+        xt = bundle.target.values[streams[-1][sl]]
+        batches.append(dat.TupleBatch(xs, ys, xt))
+    return batches
+
+
 def make_batch(rng, n_sources=3, batch=5, n_genes=10):
     return dat.TupleBatch(
         x_sources=[rng.normal(size=(batch, n_genes)) for _ in range(n_sources)],

@@ -344,6 +344,68 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
     assert _tree(tmp_path) == before and not trained
 
 
+# each (command, input file, name of a file the command writes into its output
+# directory): the input lies in that directory under that name
+OVERWRITES = [
+    ("prep", "source_expression", "target.csv"),
+    ("prep", "target_expression", "source_0.csv"),
+    ("prep", "source_expression", "source_1.csv.f8"),
+    ("prep", "gene_list", "prep_summary.json"),
+    ("prep", "deg_b", "source_1.csv"),
+    ("prep", "pathways", "target.csv.f8"),
+    ("train", "config", "effective_config.json"),
+    ("train", "source_expression", "checkpoint.bin"),
+    ("train", "source_labels", "history.csv"),
+    ("train", "target_expression", "metrics.json"),
+    ("train", "target_labels", "scores.csv"),
+    ("ablate", "config", "ablation_summary.json"),
+    ("ablate", "gene_list", "effective_config.json"),
+    ("ablate", "target_labels", "ablation.csv"),
+]
+
+
+@pytest.mark.parametrize("command,which,name", OVERWRITES)
+def test_an_output_that_is_an_input_exits_2_naming_it(tmp_path, capsys, command, which,
+                                                      name):
+    cfg_path, config, target_labels = write_synth_files(tmp_path)
+    gene_list = tmp_path / "genes.txt"
+    gene_list.write_text("g0\ng1\ng2\n")
+    pathways = tmp_path / "sets.txt"
+    pathways.write_text("p\tg0,g1\n")
+    paths = {"config": cfg_path, "gene_list": gene_list, "pathways": pathways,
+             "target_labels": target_labels, "deg_b": tmp_path / "deg_b.csv",
+             "source_expression": Path(config["sources"][1]["expression"]),
+             "source_labels": Path(config["sources"][1]["labels"]),
+             "target_expression": Path(config["target_expression"])}
+    shutil.copy(paths["source_expression"], paths["deg_b"])
+    out = tmp_path / "out"
+    out.mkdir()
+    paths[which] = paths[which].rename(out / name)
+    config["sources"][1].update(expression=str(paths["source_expression"]),
+                                labels=str(paths["source_labels"]))
+    config.update(target_expression=str(paths["target_expression"]),
+                  gene_list=str(paths["gene_list"]), output_dir=str(out))
+    paths["config"].write_text(json.dumps(config))
+    run = ["--config", str(paths["config"]), "--target-labels",
+           str(paths["target_labels"])]
+    args = {
+        "prep": _prep_args(config, out) + {
+            "gene_list": ["--gene-list", str(paths["gene_list"])],
+            "deg_b": ["--deg-a", config["sources"][0]["expression"],
+                      "--deg-b", str(paths["deg_b"])],
+            "pathways": ["--pathways", str(paths["pathways"])],
+        }.get(which, []),
+        "train": ["train", *run],
+        "ablate": ["ablate", *run, "--epochs", "1"],
+    }[command]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        f"error: {out / name}: would overwrite an input of this command\n"
+    assert _tree(tmp_path) == before
+
+
 def test_malformed_expression_file_is_data_error(tmp_path, capsys):
     cfg_path, config, _ = write_synth_files(tmp_path)
     (tmp_path / "target.csv").write_text("sample,g1\nrow1,not_a_number\n")

@@ -15,7 +15,7 @@ from adadrug import losses as ls
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import make_domain, per_cell_read_table
+from conftest import eager_batches, make_domain, per_cell_read_table
 from oracles import point_to_segment_distance
 
 
@@ -542,6 +542,21 @@ def test_align_intersection_keeps_first_matrix_order():
     np.testing.assert_array_equal(out[1].values, [[10.0, 30.0]])
 
 
+def test_align_returns_an_aligned_matrix_itself_and_copies_the_others():
+    a = _expr(["s1"], ["A", "B"], [[1.0, 2.0]])
+    b = _expr(["s2"], ["B", "A"], [[3.0, 4.0]])
+    c = _expr(["s3"], ["A", "B", "C"], [[5.0, 6.0, 7.0]])
+    out = dat.align_genes([a, b, c])
+    assert out[0] is a
+    assert out[1] is not b and out[2] is not c
+    assert not np.shares_memory(out[1].values, b.values)
+    assert not np.shares_memory(out[2].values, c.values)
+    np.testing.assert_array_equal(out[1].values, [[4.0, 3.0]])
+    np.testing.assert_array_equal(out[2].values, [[5.0, 6.0]])
+    listed = dat.align_genes([a, c], ["B", "A"])
+    assert listed[0] is not a and listed[0].gene_names == ["B", "A"]
+
+
 def test_align_disjoint_errors():
     a = _expr(["s1"], ["A"], [[1.0]])
     b = _expr(["s2"], ["B"], [[2.0]])
@@ -797,7 +812,7 @@ def _bundle_with_sizes(rng, sizes, target_size, n_genes=4):
 
 def test_assemble_batches_epoch_shape(rng):
     bundle = _bundle_with_sizes(rng, [3, 5], 4)
-    batches = dat.assemble_batches(bundle, 2, seed=0)
+    batches = list(dat.assemble_batches(bundle, 2, seed=0))
     assert len(batches) == 3  # ceil(5/2)
     for b in batches:
         assert len(b.x_sources) == 2 and len(b.y_sources) == 2
@@ -808,7 +823,7 @@ def test_assemble_batches_epoch_shape(rng):
 
 def test_assemble_batches_deterministic(rng):
     bundle = _bundle_with_sizes(rng, [6, 4], 5)
-    a = dat.assemble_batches(bundle, 3, seed=11, epoch=2)
+    a = list(dat.assemble_batches(bundle, 3, seed=11, epoch=2))
     b = dat.assemble_batches(bundle, 3, seed=11, epoch=2)
     for ba, bb in zip(a, b):
         np.testing.assert_array_equal(ba.x_target, bb.x_target)
@@ -849,9 +864,51 @@ def test_assemble_batches_pairs_each_row_with_its_own_label(rng):
 
 
 def test_assemble_batches_rejects_bad_batch_size(rng):
+    # the call itself raises, before any batch is asked for
     bundle = _bundle_with_sizes(rng, [3], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
         dat.assemble_batches(bundle, 0)
+    empty = dat.DomainBundle(bundle.sources, dat.ExpressionMatrix(
+        [], bundle.gene_names, np.empty((0, 4))))
+    with pytest.raises(ValueError, match="^all domains must be non-empty$"):
+        dat.assemble_batches(empty, 2)
+
+
+@pytest.mark.parametrize("sizes,target,batch_size,seed,epoch", [
+    ([3, 5], 4, 2, 0, 0),
+    ([7], 20, 3, 11, 2),
+    ([8, 8, 8], 8, 4, 3, 1),
+    ([30, 5, 17], 12, 64, 7, 5),
+    ([2, 3], 2, 1, 0, 9),
+])
+def test_streamed_batches_are_bitwise_the_eager_list(rng, sizes, target, batch_size,
+                                                     seed, epoch):
+    bundle = _bundle_with_sizes(rng, sizes, target)
+    streamed = list(dat.assemble_batches(bundle, batch_size, seed, epoch))
+    eager = eager_batches(bundle, batch_size, seed, epoch)
+    assert len(streamed) == len(eager) == dat.epoch_length(bundle, batch_size)
+    for got, want in zip(streamed, eager):
+        for x, y in zip(got.x_sources + got.y_sources + [got.x_target],
+                        want.x_sources + want.y_sources + [want.x_target]):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+def test_an_epoch_holds_one_tuple_batch_at_a_time():
+    # 2,000-row target, three 300-row sources, 500 genes, B = 64: a batch is
+    # 4 x 64 x 500 float64 = 1 MB, the epoch's whole list 32 MB
+    rng = np.random.default_rng(0)
+    bundle = _bundle_with_sizes(rng, [300, 300, 300], 2000, n_genes=500)
+    tracemalloc.start()
+    try:
+        rows = 0
+        for batch in dat.assemble_batches(bundle, 64, seed=1):
+            rows += batch.x_target.shape[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 32 * 64
+    assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_train_step_is_bitwise_the_unfused_graph(monkeypatch, variant, gen_out):
                                     n_genes=12, signal_dim=4, seed=1))
     bundle, cfg = sy.variant_setup(variant, sb.bundle,
                                    tiny_cfg(gen_out_activation=gen_out))
-    batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
+    batch = next(iter(dat.assemble_batches(bundle, cfg.batch_size, seed=0)))
     model = mdl.init_params(tr.build_specs(12, cfg), 2)
     fused_grad, fused_parts = tr.train_step(model, batch, cfg, 0.4)
 
@@ -309,7 +309,7 @@ def test_train_step_tape_budget(monkeypatch, variant, n_nodes):
     # each a view of the one gradient vector the step returns
     sb = sy.generate(sy.SynthConfig(seed=3))
     bundle, cfg = sy.variant_setup(variant, sb.bundle, sy.bench_train_config())
-    batch = dat.assemble_batches(bundle, cfg.batch_size, seed=0)[0]
+    batch = next(iter(dat.assemble_batches(bundle, cfg.batch_size, seed=0)))
     model = mdl.init_params(tr.build_specs(len(bundle.gene_names), cfg), 0)
     recorded = []
     backward = ad.backward
@@ -377,7 +377,7 @@ def test_adam_over_flat_is_bitwise_adam_per_array():
     sb = sy.generate(sy.SynthConfig(n_sources=3, n_per_domain=40, n_target=40,
                                     n_genes=12, signal_dim=4, seed=2))
     bundle, cfg = sy.variant_setup("full", sb.bundle, tiny_cfg(learning_rate=1e-2))
-    batches = dat.assemble_batches(bundle, cfg.batch_size, seed=0)
+    batches = list(dat.assemble_batches(bundle, cfg.batch_size, seed=0))
     flat_model = mdl.init_params(tr.build_specs(12, cfg), 4)
     per_array = mdl.ModelBundle(flat_model.specs, flat_model.flat.copy(), flat_model.seed)
     flat_opt = tr.Adam(flat_model.flat, cfg.learning_rate)
@@ -709,7 +709,7 @@ def test_encoder_adv_gradient_equals_minus_lambda_times_unreversed(rng):
     from adadrug import losses as ls
 
     bundle = tiny_bundle(rng)
-    batch = dat.assemble_batches(bundle, 6, seed=0)[0]
+    batch = next(iter(dat.assemble_batches(bundle, 6, seed=0)))
     model = mdl.init_params(tr.build_specs(6, tiny_cfg()), 3)
     for name, arr in model.named_arrays():
         if name.endswith(".b"):
@@ -746,7 +746,7 @@ def _discriminator_accuracy(model, cfg, held):
     Equally many source and target rows, so a fully confused discriminator
     scores 0.5 rather than the source base rate of the training tuples.
     """
-    batch = dat.assemble_batches(held, 64, seed=123)[0]
+    batch = next(iter(dat.assemble_batches(held, 64, seed=123)))
     h_s = [mdl.encode(model, x) for x in batch.x_sources]
     h_t = mdl.encode(model, batch.x_target)
 
