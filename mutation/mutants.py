@@ -206,8 +206,9 @@ MUTANTS = (
     Mutant(
         "prep_overwrites_its_inputs",
         "src/adadrug/cli.py",
-        "check_distinct_outputs(\n        [*tables,",
-        "(lambda *paths: None)(\n        [*tables,",
+        "check_outputs(\n        [*args.sources, args.target, args.gene_list, args.deg_a,"
+        " args.deg_b,\n         args.pathways],",
+        "check_outputs(\n        [],",
         tuple(f"tests/test_cli.py::test_an_output_that_is_an_input_exits_2_naming_it[{c}]"
               for c in ("prep-source_expression-target.csv",
                         "prep-target_expression-source_0.csv",
@@ -319,14 +320,12 @@ MUTANTS = (
     Mutant(
         "ablate_checks_its_output_dir_after_the_grid",
         "src/adadrug/cli.py",
-        "out = check_output_dir(cfg[\"output_dir\"])\n"
-        "    rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,\n"
-        "                       cfg_train)",
-        "rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,\n"
-        "                       cfg_train)\n"
-        "    out = check_output_dir(cfg[\"output_dir\"])",
-        ("tests/test_cli.py::test_an_output_path_that_cannot_be_written_exits_2_naming_it"
-         "[ablate-out-file]",),
+        "out = Path(cfg[\"output_dir\"])\n    check_outputs(",
+        "bundle = load_bundle(cfg)\n    out = Path(cfg[\"output_dir\"])\n    check_outputs(",
+        tuple(f"tests/test_cli.py::"
+              f"test_an_output_path_that_cannot_be_written_exits_2_naming_it[{c}]"
+              for c in ("ablate-out-file", "ablate-out-ablation.csv",
+                        "train-output_dir-file")),
     ),
     Mutant(
         "an_output_compared_by_its_spelling",
@@ -339,11 +338,24 @@ MUTANTS = (
     Mutant(
         "predict_writes_out_before_checking_embeddings",
         "src/adadrug/cli.py",
-        "check_output_files(args.out, args.embeddings)",
-        "check_output_files(args.out)",
+        "(args.out, args.embeddings))",
+        "(args.out,))",
         tuple(f"tests/test_cli.py::"
               f"test_an_output_path_that_cannot_be_written_exits_2_naming_it"
-              f"[predict-embeddings-{blocker}]" for blocker in ("dir", "missing_dir")),
+              f"[predict-embeddings-{blocker}]"
+              for blocker in ("dir", "missing_dir", "source", "gene_list", "out")),
+    ),
+    Mutant(
+        "a_directory_in_the_output_dir_taken_for_a_file",
+        "src/adadrug/cli.py",
+        "if os.path.isdir(path):",
+        "if os.path.isdir(path) and out_dir is None:",
+        tuple(f"tests/test_cli.py::"
+              f"test_an_output_path_that_cannot_be_written_exits_2_naming_it[{c}]"
+              for c in ("prep-out-target.csv", "prep-out-source_0.csv.f8",
+                        "prep-out-prep_summary.json", "train-output_dir-checkpoint.bin",
+                        "train-output_dir-history.csv", "train-output_dir-scores.csv",
+                        "ablate-out-ablation.csv", "synth-bench-out-report.csv")),
     ),
     # -- model -------------------------------------------------------------
     Mutant(

@@ -137,42 +137,34 @@ def config_hash(cfg):
     ).hexdigest()
 
 
-def check_output_files(*paths):
-    """Refuse, naming it, each given output path a file cannot be written at:
-    a directory, or one in a directory that does not exist. Called before a
-    command writes its first output, so a refused path leaves no output."""
-    for path in filter(None, paths):
+def check_outputs(inputs, files, out_dir=None):
+    """Refuse, naming it, the first output a command cannot write: an
+    ``out_dir`` where no directory can be made (it, or the nearest of its
+    parents that exists, is not one), a file that is a directory, a file
+    outside ``out_dir`` in a directory that does not exist, or a file that is
+    one of ``inputs`` or an earlier file. Paths are compared after
+    ``os.path.realpath``, so another spelling of one, through ``..`` or a
+    link, is refused too. Each command calls this once, with every file it
+    writes, before it reads any data; it makes ``out_dir`` only to write."""
+    if out_dir is not None:
+        existing = Path(out_dir)
+        while not existing.exists() and existing != existing.parent:
+            existing = existing.parent
+        if not existing.is_dir():
+            raise ValueError(f"{out_dir}: cannot make the output directory: "
+                             f"{existing} is not a directory")
+        out_dir = Path(out_dir)
+    seen = {os.path.realpath(p): "an input" for p in filter(None, inputs)}
+    for path in filter(None, files):
         if os.path.isdir(path):
             raise ValueError(f"{path}: is a directory, not a file")
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        parent = os.path.dirname(path) or "."
+        if Path(parent) != out_dir and not os.path.isdir(parent):
             raise ValueError(f"{path}: its directory does not exist")
-
-
-def check_distinct_outputs(outputs, inputs):
-    """Refuse, naming it, each given output path that is one of the given
-    ``inputs`` or an earlier output. Paths are compared after
-    ``os.path.realpath``, so another spelling of one, through ``..`` or a
-    link, is refused too. Called before a command writes its first output."""
-    seen = {os.path.realpath(p): "an input" for p in filter(None, inputs)}
-    for path in filter(None, outputs):
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{path}: would overwrite {seen[real]} of this command")
         seen[real] = "another output"
-
-
-def check_output_dir(path):
-    """``path`` as a ``Path``, refused, naming it, where no directory can be
-    made: it, or the nearest of its parents that exists, is not one. A
-    command checks before its work and makes the directory only to write."""
-    out = Path(path)
-    existing = out
-    while not existing.exists() and existing != existing.parent:
-        existing = existing.parent
-    if not existing.is_dir():
-        raise ValueError(f"{path}: cannot make the output directory: "
-                         f"{existing} is not a directory")
-    return out
 
 
 def write_json(path, obj):
@@ -234,15 +226,16 @@ def load_run(config, target_labels=None, run_files=(), **flags):
     checked on its own, then the ``flags`` that are not None (``output_dir``
     or ``TrainConfig`` fields) replace its keys and ``validate_config``
     checks the result again, so a flag obeys its key's rules. Before any
-    data is read, each of ``run_files`` (names in ``output_dir``) is refused
-    if it is the config, the labels file or a path the config names.
-    ``cfg`` is what ``effective_config.json`` echoes; ``labels`` is None
-    without a ``target_labels`` file."""
+    data is read, ``check_outputs`` checks ``output_dir`` and each of
+    ``run_files`` (names in it) against the config, the labels file and
+    every path the config names. ``cfg`` is what ``effective_config.json``
+    echoes; ``labels`` is None without a ``target_labels`` file."""
     cfg = validate_config({**load_config(config), **_set_flags(**flags)})
-    check_distinct_outputs(
-        [Path(cfg["output_dir"]) / name for name in filter(None, run_files)],
+    out = Path(cfg["output_dir"])
+    check_outputs(
         [config, target_labels, cfg["target_expression"], cfg["gene_list"],
-         *(s[k] for s in cfg["sources"] for k in ("expression", "labels"))])
+         *(s[k] for s in cfg["sources"] for k in ("expression", "labels"))],
+        [out / name for name in filter(None, run_files)], out)
     cfg_train = TrainConfig(**{k: cfg[k] for k in _TRAIN_FIELDS})
     bundle = load_bundle(cfg)
     labels = None
@@ -277,14 +270,14 @@ def cmd_prep(args):
         raise ValueError(f"--p-max must be in (0, 1], got {args.p_max!r}")
     if args.hvg is not None and args.hvg < 1:
         raise ValueError(f"--hvg must be >= 1, got {args.hvg}")
-    out = check_output_dir(args.out)
-    fmt = args.format
+    out, fmt = Path(args.out), args.format
     names = [f"source_{i}" for i in range(len(args.sources))] + ["target"]
     tables = [out / f"{name}.{fmt}" for name in names]
-    check_distinct_outputs(
-        [*tables, *(f"{t}{dat.COPY_SUFFIX}" for t in tables), out / "prep_summary.json"],
+    check_outputs(
         [*args.sources, args.target, args.gene_list, args.deg_a, args.deg_b,
-         args.pathways])
+         args.pathways],
+        [*tables, *(f"{t}{dat.COPY_SUFFIX}" for t in tables), out / "prep_summary.json"],
+        out)
     exprs = [dat.load_expression(p, fmt) for p in args.sources]
     target = dat.load_expression(args.target, fmt)
 
@@ -356,7 +349,7 @@ def cmd_train(args):
         learning_rate=args.learning_rate,
         sampler=args.sampler,
     )
-    out = check_output_dir(cfg["output_dir"])
+    out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", cfg)
 
@@ -381,11 +374,10 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    check_output_files(args.out, args.embeddings)
-    cfg = load_config(args.config)
-    check_distinct_outputs((args.out, args.embeddings), (
-        args.config, args.checkpoint, cfg["target_expression"], cfg["gene_list"],
-        *(s["expression"] for s in cfg["sources"])))
+    cfg = load_config(args.config)  # it names the inputs
+    check_outputs((args.config, args.checkpoint, cfg["target_expression"],
+                   cfg["gene_list"], *(s["expression"] for s in cfg["sources"])),
+                  (args.out, args.embeddings))
     model, cfg_train, _ = tr.load_checkpoint(args.checkpoint)
     if args.seed is not None:  # TrainConfig checks the seed, as it does in ablate
         cfg_train = dataclasses.replace(cfg_train, seed=args.seed)
@@ -404,8 +396,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    check_output_files(args.out)
-    check_distinct_outputs((args.out,), (args.scores, args.labels, args.config))
+    check_outputs((args.scores, args.labels, args.config), (args.out,))
     ids, scores, inline_labels = ev.read_scores_csv(args.scores)
     if args.labels:
         labels = load_binary_labels(args.labels, ids)
@@ -439,7 +430,7 @@ def cmd_ablate(args):
         args.config, args.target_labels,
         ("effective_config.json", "ablation.csv", "ablation_summary.json"),
         epochs=args.epochs, output_dir=args.out)
-    out = check_output_dir(cfg["output_dir"])
+    out = Path(cfg["output_dir"])
     rows = sy.run_grid(sy.SynthBundle(bundle, labels), ABLATE_VARIANTS, seeds,
                        cfg_train)
     out.mkdir(parents=True, exist_ok=True)
@@ -451,7 +442,9 @@ def cmd_ablate(args):
 
 
 def cmd_synth_bench(args):
-    out = check_output_dir(args.out)
+    out = Path(args.out)
+    check_outputs((), [out / name for name in
+                       ("effective_config.json", "report.csv", "summary.json")], out)
     seeds = _comma_list("--seeds", args.seeds, int)
     variants = _comma_list("--variants", args.variants, str)
     synth_cfg = sy.SynthConfig(**_set_flags(

@@ -275,8 +275,9 @@ def test_an_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, comman
 
 # each (command, output) pair and the path given for it that cannot be written:
 # a directory where a file goes, a file where a directory goes, a path under a
-# file, a file in a directory that does not exist, or a file the command reads
-# or writes besides, named or spelled through ".."
+# file, a file in a directory that does not exist, a file the command reads or
+# writes besides, named or spelled through "..", or an output directory holding
+# a directory under the name of a file the command writes into it
 OUTPUTS = [("predict", "out", "dir"), ("predict", "embeddings", "dir"),
            ("predict", "embeddings", "missing_dir"), ("evaluate", "out", "dir"),
            ("prep", "out", "file"), ("train", "output_dir", "file"),
@@ -286,7 +287,12 @@ OUTPUTS = [("predict", "out", "dir"), ("predict", "embeddings", "dir"),
            ("predict", "out", "checkpoint"), ("predict", "out", "config"),
            ("predict", "embeddings", "source"), ("predict", "embeddings", "gene_list"),
            ("predict", "embeddings", "out"), ("evaluate", "out", "scores"),
-           ("evaluate", "out", "labels"), ("evaluate", "out", "config")]
+           ("evaluate", "out", "labels"), ("evaluate", "out", "config"),
+           *(("prep", "out", name)
+             for name in ("target.csv", "source_0.csv.f8", "prep_summary.json")),
+           *(("train", "output_dir", name)
+             for name in ("checkpoint.bin", "history.csv", "scores.csv")),
+           ("ablate", "out", "ablation.csv"), ("synth-bench", "out", "report.csv")]
 
 
 @pytest.mark.parametrize("command,which,blocker", OUTPUTS)
@@ -313,6 +319,8 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
     }.get(blocker, tmp_path / "blocked")
     if blocker == "dir":
         path.mkdir()
+    elif "." in blocker:
+        (path / blocker).mkdir(parents=True)
     elif blocker == "missing_dir":
         path = path / "embeddings.csv"
     elif blocker in ("file", "under_file"):
@@ -329,19 +337,27 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
                               "--out", str(path)],
         ("prep", "out"): _prep_args(config, path),
         ("train", "output_dir"): ["train", "--config", str(cfg_path),
+                                  "--target-labels", str(target_labels),
                                   "--output-dir", str(path)],
         ("ablate", "out"): ["ablate", "--config", str(cfg_path), "--target-labels",
                             str(target_labels), "--out", str(path)],
         ("synth-bench", "out"): ["synth-bench", "--variants", "full", "--epochs", "1",
                                  "--out", str(path)],
     }[command, which]
-    trained = []  # the path is refused before any training
+    trained, read = [], []  # the path is refused before any table is read
     monkeypatch.setattr(tr, "train", lambda *args: trained.append(args))
+    load_expression = dat.load_expression
+    monkeypatch.setattr(dat, "load_expression",
+                        lambda *args: read.append(args) or load_expression(*args))
     before = _tree(tmp_path)
     capsys.readouterr()
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
-    assert _tree(tmp_path) == before and not trained
+    err = capsys.readouterr().err
+    if "." in blocker:
+        assert err == f"error: {path / blocker}: is a directory, not a file\n"
+    else:
+        assert err.startswith(f"error: {path}: ")
+    assert _tree(tmp_path) == before and not trained and not read
 
 
 # each (command, input file, name of a file the command writes into its output
@@ -404,6 +420,45 @@ def test_an_output_that_is_an_input_exits_2_naming_it(tmp_path, capsys, command,
     assert capsys.readouterr().err == \
         f"error: {out / name}: would overwrite an input of this command\n"
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["prep", "train", "predict", "evaluate", "ablate",
+                                     "synth-bench"])
+def test_every_file_a_command_writes_is_checked_once_before_it_is_written(
+        tmp_path, monkeypatch, command):
+    cfg_path, config, target_labels = write_synth_files(tmp_path)
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    scores = tmp_path / "scores.csv"
+    if command == "predict":
+        assert main(["train", "--config", str(cfg_path), "--epochs", "1"]) == 0
+    if command == "evaluate":
+        ids, _, _ = dat.load_labels(target_labels)
+        ev.write_scores_csv(scores, ids, np.linspace(0, 1, len(ids)))
+    out = tmp_path / "out"
+    args = {
+        "prep": _prep_args(config, out),
+        "train": ["train", "--config", str(cfg_path), "--target-labels",
+                  str(target_labels), "--epochs", "1", "--output-dir", str(out)],
+        "predict": ["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                    "--out", str(out), "--embeddings", str(tmp_path / "emb.csv")],
+        "evaluate": ["evaluate", "--scores", str(scores), "--labels",
+                     str(target_labels), "--out", str(out)],
+        "ablate": ["ablate", "--config", str(cfg_path), "--target-labels",
+                   str(target_labels), "--epochs", "1", "--out", str(out)],
+        "synth-bench": ["synth-bench", "--variants", "full", "--n-per-domain", "20",
+                        "--n-target", "20", "--genes", "6", "--signal-dim", "2",
+                        "--epochs", "1", "--out", str(out)],
+    }[command]
+    calls = []  # the files of each check, and whether the tree was untouched then
+    check_outputs = cli.check_outputs
+    monkeypatch.setattr(cli, "check_outputs", lambda inputs, files, out_dir=None: (
+        calls.append(({Path(f) for f in files if f}, _tree(tmp_path) == before))
+        or check_outputs(inputs, files, out_dir)))
+    before = _tree(tmp_path)
+    assert main(args) == 0
+    written = {p for p, blob in _tree(tmp_path).items()
+               if blob is not None and before.get(p) != blob}
+    assert calls == [(written, True)]
 
 
 def test_malformed_expression_file_is_data_error(tmp_path, capsys):

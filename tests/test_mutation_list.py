@@ -3,11 +3,13 @@
 Running the mutants takes minutes, so ``mutation/test_mutants.py`` is not part
 of this suite. These checks take a moment: an entry applies only while its old
 text occurs exactly once in its file, and it can be killed only by tests that
-exist.
+exist, each id resolved down to its parameters.
 """
 
-import ast
+import functools
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,9 +28,16 @@ def _mutants():
 MUTANTS = _mutants()
 
 
-def _test_functions(path):
-    tree = ast.parse(path.read_text())
-    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+@functools.cache
+def _collected_ids():
+    """Every test id in the files the mutants name, from one
+    ``pytest --collect-only`` run over those files."""
+    files = sorted({test_id.partition("::")[0] for m in MUTANTS for test_id in m.kills})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *files], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    return set(proc.stdout.splitlines())
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -38,7 +47,4 @@ def test_old_text_occurs_exactly_once(mutant):
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_every_killing_test_exists(mutant):
-    for test_id in mutant.kills:
-        path, _, name = test_id.partition("::")
-        path = ROOT / path
-        assert path.is_file() and name.split("[")[0] in _test_functions(path), test_id
+    assert set(mutant.kills) <= _collected_ids(), set(mutant.kills) - _collected_ids()
