@@ -19,6 +19,9 @@ class Mutant(NamedTuple):
     kills: tuple
 
 
+LANE_BITS = tuple(f"tests/test_model.py::test_lanes_give_the_serial_loops_bits[{w}-{r}]"
+                  for w in (60, 128, 500, 2000) for r in (1024, 1025))
+
 MUTANTS = (
     # -- training schedule and optimizer -----------------------------------
     Mutant(
@@ -365,6 +368,49 @@ MUTANTS = (
         "lim = np.sqrt(6.0 / w.shape[1])",
         ("tests/test_model.py::test_init_biases_are_exactly_zero_and_weights_bounded",),
     ),
+    # the row lanes of mlp_forward run in tier-1 under its one-BLAS-thread fixture
+    Mutant(
+        "lanes_joined_in_the_wrong_order",
+        "src/adadrug/model.py",
+        "np.concatenate((head, tail.result()))",
+        "np.concatenate((tail.result(), head))",
+        LANE_BITS,
+    ),
+    Mutant(
+        "lane_split_drops_a_row",
+        "src/adadrug/model.py",
+        "spec, params, x[half:])",
+        "spec, params, x[half + 1:])",
+        LANE_BITS,
+    ),
+    Mutant(
+        "lane_split_repeats_a_row",
+        "src/adadrug/model.py",
+        "spec, params, x[half:])",
+        "spec, params, x[half - 1:])",
+        LANE_BITS,
+    ),
+    Mutant(
+        "lanes_stack_on_blas_threads",
+        "src/adadrug/model.py",
+        "return cpus >= 2 and kernels.blas_threads() == 1",
+        "return cpus >= 2",
+        ("tests/test_model.py::test_lanes_stay_off_when_blas_runs_two_threads",),
+    ),
+    Mutant(
+        "lane_error_raised_before_the_other_lane_stops",
+        "src/adadrug/model.py",
+        "futures.wait((tail,))",
+        "pass",
+        ("tests/test_model.py::test_a_lane_error_is_raised_once_both_lanes_stopped[caller]",),
+    ),
+    Mutant(
+        "forked_child_hands_work_to_the_parents_lane_worker",
+        "src/adadrug/model.py",
+        "    os.register_at_fork(after_in_child=_forget_lane_worker)",
+        "    os.register_at_fork(after_in_child=lambda: None)",
+        ("tests/test_model.py::test_a_forked_child_scores_with_lanes_after_its_parent",),
+    ),
     Mutant(
         "clamp_passes_the_gradient_at_its_bounds",
         "src/adadrug/autodiff.py",
@@ -496,6 +542,15 @@ MUTANTS = (
          "[predict-checkpoint]",),
     ),
     # -- target scoring ----------------------------------------------------
+    Mutant(
+        "scoring_blocks_end_in_a_short_tail",
+        "src/adadrug/evaluate.py",
+        "cuts = [n * i // blocks for i in range(blocks + 1)]\n"
+        "    gap_buf = np.empty((-(-n // blocks), m, d))",
+        "cuts = [min(n, chunk * i) for i in range(blocks + 1)]\n"
+        "    gap_buf = np.empty((min(chunk, n), m, d))",
+        ("tests/test_evaluate.py::test_one_reference_blocks_give_the_one_block_bits",),
+    ),
     Mutant(
         "reference_rows_drawn_with_replacement",
         "src/adadrug/evaluate.py",

@@ -97,10 +97,12 @@ def metrics_report(scores, labels):
 # target inference
 # ---------------------------------------------------------------------------
 
-# gap rows per generator call in mean_reference_weights: at d = 128 one such
-# array is about 1 MB, small enough to stay in cache and to be reused by the
-# allocator instead of being mapped (and page-faulted) afresh every block
-GAP_ROW_BUDGET = 1024
+# gap rows per generator call in mean_reference_weights. model.mlp_forward
+# runs a call this size as two row lanes when it can, so each lane's arrays
+# are about 1,024 rows, 1 MB at d = 128: small enough to stay in cache and to
+# be reused by the allocator instead of being mapped (and page-faulted) afresh
+# every block
+GAP_ROW_BUDGET = 2048
 
 
 def _reference_rows(n, ref_batch, rng):
@@ -119,12 +121,15 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     side receives during training. A source is an ``ExpressionMatrix`` or
     a ``LabeledDomain``, whose labels are not read.
 
-    Target rows are scored in blocks of as many whole rows as fit in
-    ``GAP_ROW_BUDGET`` gap rows (at least one): a block's gap rows
-    |h_T - h_ref| are written into one reused buffer and run through the
-    generator as one batch, so memory is O(block · d), not
-    O(n · K · ref_batch · d), and every array of a block stays cache-sized.
-    The result does not depend on the block size.
+    Target rows are scored in blocks: the fewest that keep each within
+    ``GAP_ROW_BUDGET`` gap rows (or one target row), with sizes that differ
+    by at most one row. A block's gap rows |h_T - h_ref| are written into one
+    reused buffer and run through the generator as one batch, so memory is
+    O(block · d), not O(n · K · ref_batch · d), and every array of a block
+    stays cache-sized. Equal blocks leave no short tail block: BLAS computes
+    a one-row product along another path, with other bits. So at generator
+    widths that are multiples of 8 the result does not depend on the block
+    size, except for a job of one gap row.
     """
     if ref_batch < 1:
         raise ValueError("ref_batch must be >= 1")
@@ -137,17 +142,18 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     h_ref = np.vstack(h_refs)
     n, d = h_target.shape
     m = len(h_ref)
-    chunk = max(1, GAP_ROW_BUDGET // m)
-    gap_buf = np.empty((min(chunk, n), m, d))
+    chunk = max(1, GAP_ROW_BUDGET // m)  # target rows a block may hold
+    blocks = max(1, -(-n // chunk))  # ceil(n / chunk); one empty block when n = 0
+    cuts = [n * i // blocks for i in range(blocks + 1)]
+    gap_buf = np.empty((-(-n // blocks), m, d))
     w_mean = np.empty_like(h_target)
-    for start in range(0, n, chunk):
-        block = h_target[start : start + chunk]
-        gap = gap_buf[: len(block)]
-        np.subtract(block[:, None, :], h_ref[None, :, :], out=gap)
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        gap = gap_buf[: stop - start]
+        np.subtract(h_target[start:stop, None, :], h_ref[None, :, :], out=gap)
         np.abs(gap, out=gap)
         w = mdl.mlp_forward(bundle.specs["generator"], bundle.params["generator"],
                             gap.reshape(-1, d))
-        w.reshape(len(block), m, d).mean(axis=1, out=w_mean[start : start + chunk])
+        w.reshape(stop - start, m, d).mean(axis=1, out=w_mean[start:stop])
     return w_mean
 
 

@@ -10,7 +10,14 @@ sequential and bitwise deterministic for fixed inputs.
 ``sigmoid`` and ``relu`` take an optional ``out`` array, which may be ``x``
 itself; they then write their result there with in-place ufuncs instead of
 allocating temporaries, and give the same bits as the out-of-place call.
+
+``blas_threads`` reads how many threads the loaded OpenBLAS runs a product
+on; ``model.mlp_forward`` splits a large batch into row lanes only when it
+reads 1.
 """
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -22,6 +29,44 @@ PAIRWISE_BLOCK_BYTES = 4 << 20
 # elements of each array one adam_step block touches: 256 KB of float64, so
 # the six arrays of a block (p, g, m, v and two scratch) stay in cache
 ADAM_BLOCK = 1 << 15
+
+# thread-count getters of the OpenBLAS builds numpy and scipy load (the
+# scipy-openblas wheels prefix and suffix every symbol)
+_BLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads")
+
+
+@functools.cache
+def _openblas_function(names):
+    """The first of ``names`` that a loaded OpenBLAS library exports, as a
+    ctypes function, or None. Looked up once per tuple: a dropped
+    ``ctypes.CDLL`` is cyclic garbage."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh
+                           if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def blas_threads():
+    """Threads the loaded OpenBLAS runs a product on, read from the library
+    itself; None when no loaded library exports a thread-count getter."""
+    fn = _openblas_function(_BLAS_GET_THREADS)
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = (), ctypes.c_int
+    return fn()
 
 
 def sigmoid(x, out=None):

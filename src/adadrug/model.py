@@ -13,8 +13,13 @@ response predictor. A network is one layer function,
 Both therefore give the same bits for the same parameters, and each job has
 one forward. The layer adds the bias and applies its activation in place on
 the fresh matmul result, so it allocates one array, not three.
+
+``mlp_forward`` may run a large batch as two row lanes on two threads.
 """
 
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,12 +168,74 @@ def init_params(specs, seed):
 # forward passes, array level
 # ---------------------------------------------------------------------------
 
-def mlp_forward(spec, params, x):
-    """Array forward; ``x`` is only read, every layer writes its own array."""
+# rows of the smaller lane of a split mlp_forward: far above the short
+# products BLAS computes along another path (under 8 rows at 500 inputs), and
+# at the generator's 128 widths about 1 ms of work, which repays the
+# hand-off to the worker thread and the copy of the joined result
+LANE_MIN_ROWS = 512
+
+_lane_lock = threading.Lock()
+_lane_pool = None
+
+
+def _lane_worker():
+    """The one worker thread of the second lane, started on first use."""
+    global _lane_pool
+    with _lane_lock:
+        if _lane_pool is None:
+            _lane_pool = futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="adadrug-lane")
+        return _lane_pool
+
+
+def _forget_lane_worker():
+    # a forked child has only the forking thread: work handed to the
+    # parent's worker would wait forever, so the child starts its own
+    global _lane_pool, _lane_lock
+    _lane_pool, _lane_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_lane_worker)
+
+
+def _lanes_free():
+    """Two CPUs for this process and one BLAS thread: lanes then take the
+    second CPU instead of competing with BLAS's own threads for it."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return False
+    return cpus >= 2 and kernels.blas_threads() == 1
+
+
+def _forward(spec, params, x):
     a = x
     for i, act in enumerate(spec.activations):
         a = kernels.dense(a, params[2 * i], params[2 * i + 1], act)
     return a
+
+
+def mlp_forward(spec, params, x):
+    """Array forward; ``x`` is only read, every layer writes its own array.
+
+    A batch of at least ``2 * LANE_MIN_ROWS`` rows runs as two lanes when
+    ``_lanes_free()``: the caller's thread takes the first half of the rows
+    and one pooled worker thread the rest, each through the same layer loop,
+    and the two results are joined in row order. An exception in either lane
+    is raised once both have stopped. Rows are independent, and a lane is far
+    above the short products BLAS computes along another path, so at layer
+    widths that are multiples of 8 the lanes give the serial loop's bits.
+    """
+    if len(x) < 2 * LANE_MIN_ROWS or not _lanes_free():
+        return _forward(spec, params, x)
+    half = len(x) // 2
+    tail = _lane_worker().submit(_forward, spec, params, x[half:])
+    try:
+        head = _forward(spec, params, x[:half])
+    finally:
+        futures.wait((tail,))
+    return np.concatenate((head, tail.result()))
 
 
 def _check_width(x, width, what):

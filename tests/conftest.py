@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import ctypes
 import json
 import multiprocessing
 import os
@@ -15,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from adadrug import autodiff as ad
 from adadrug import data as dat
+from adadrug import kernels
 from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
@@ -271,6 +274,37 @@ def make_domain(rng, n=20, n_genes=6, pos_rate=0.5, tag="s"):
         rng.normal(size=(n, n_genes)),
     )
     return dat.LabeledDomain(expr, labels)
+
+
+@contextlib.contextmanager
+def blas_threads_set(n):
+    """Runs the block with OpenBLAS on ``n`` threads and restores the count
+    after, through the lookup ``kernels.blas_threads`` uses. Skips the test,
+    naming why, where no loaded BLAS exports the thread-count calls or where
+    this process may use one CPU only, so ``model.mlp_forward`` never splits."""
+    before = kernels.blas_threads()
+    set_threads = kernels._openblas_function(
+        tuple(name.replace("_get_", "_set_") for name in kernels._BLAS_GET_THREADS))
+    if before is None or set_threads is None:
+        pytest.skip("no loaded BLAS exports the OpenBLAS thread-count calls")
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        pytest.skip("this process may use one CPU, so mlp_forward runs no lanes")
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(n)
+    try:
+        if kernels.blas_threads() != n:
+            pytest.skip(f"the loaded BLAS would not run {n} threads")
+        yield
+    finally:
+        set_threads(before)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """One BLAS thread on a process that may use two CPUs: ``model.mlp_forward``
+    then splits a large batch into two row lanes."""
+    with blas_threads_set(1):
+        yield
 
 
 @pytest.fixture

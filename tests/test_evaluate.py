@@ -343,3 +343,18 @@ def test_mean_reference_weights_default_blocks_equal_one_block(monkeypatch):
     monkeypatch.setattr(ev, "GAP_ROW_BUDGET", 37 * m)
     whole = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0)
     assert blocked.tobytes() == whole.tobytes()
+
+
+def test_one_reference_blocks_give_the_one_block_bits(monkeypatch):
+    # one reference row (m = 1) and 1,025 target rows: at a budget of 1,024 a
+    # block of 1,024 rows used to leave a one-row tail block, which BLAS
+    # computes along another path, with other bits
+    bundle, h, _ = _paper_width_scoring_case(1025)
+    ref = [dat.LabeledDomain(dat.ExpressionMatrix(
+        ["r0"], [f"g{j}" for j in range(64)],
+        np.random.default_rng(12).normal(size=(1, 64))), [1])]
+    got = []
+    for budget in (1024, 1025):  # two blocks, then one
+        monkeypatch.setattr(ev, "GAP_ROW_BUDGET", budget)
+        got.append(ev.mean_reference_weights(bundle, h, ref, ref_batch=1, seed=0))
+    assert got[0].tobytes() == got[1].tobytes()

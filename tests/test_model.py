@@ -1,10 +1,17 @@
+import os
+import select
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from adadrug import autodiff as ad
+from adadrug import kernels
 from adadrug import model as mdl
 
-from conftest import make_bundle
+from conftest import blas_threads_set, make_bundle
 
 
 def one_layer_bundle():
@@ -326,3 +333,126 @@ def test_mlp_forward_reads_its_input_only(widths, out_activation):
         z = np.exp(-np.abs(a))
         a = np.where(a >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
     assert got.tobytes() == a.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# row lanes: a large batch on two threads when BLAS runs one
+# ---------------------------------------------------------------------------
+
+LANE_ROWS = 2 * mdl.LANE_MIN_ROWS  # the smallest batch mlp_forward splits
+
+
+def lane_case(width, rows):
+    """A paper-width encoder shape (width -> 256 -> 128) ending in a sigmoid,
+    so every activation runs, with He-scaled weights and random biases."""
+    spec = mdl.MlpSpec((width, 256, 128), out_activation="sigmoid")
+    rng = np.random.default_rng(width)
+    params = []
+    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+        lim = np.sqrt(6.0 / fan_in)
+        params += [rng.uniform(-lim, lim, size=(fan_in, fan_out)),
+                   rng.normal(scale=0.2, size=(1, fan_out))]
+    return spec, params, rng.normal(size=(rows, width))
+
+
+def record_dense_threads(monkeypatch):
+    """The thread ident of every ``kernels.dense`` call from here on."""
+    idents, dense = [], kernels.dense
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        return dense(*args)
+
+    monkeypatch.setattr(kernels, "dense", recorded)
+    return idents
+
+
+@pytest.mark.parametrize("rows", [LANE_ROWS, LANE_ROWS + 1])
+@pytest.mark.parametrize("width", [60, 128, 500, 2000])
+def test_lanes_give_the_serial_loops_bits(one_blas_thread, width, rows):
+    spec, params, x = lane_case(width, rows)
+    got = mdl.mlp_forward(spec, params, x)
+    a = x
+    for i, act in enumerate(spec.activations):
+        a = kernels.dense(a, params[2 * i], params[2 * i + 1], act)
+    assert got.shape == a.shape
+    assert got.tobytes() == a.tobytes()
+
+
+def test_lanes_run_dense_on_two_threads_from_the_threshold(one_blas_thread, monkeypatch):
+    spec, params, x = lane_case(60, LANE_ROWS)
+    idents = record_dense_threads(monkeypatch)
+    mdl.mlp_forward(spec, params, x[:-1])
+    assert set(idents) == {threading.get_ident()}
+    idents.clear()
+    mdl.mlp_forward(spec, params, x)
+    assert len(set(idents)) == 2 and threading.get_ident() in idents
+
+
+def test_lanes_stay_off_when_blas_runs_two_threads(monkeypatch):
+    spec, params, x = lane_case(60, 4 * LANE_ROWS)
+    with blas_threads_set(2):
+        idents = record_dense_threads(monkeypatch)
+        mdl.mlp_forward(spec, params, x)
+    assert set(idents) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_a_lane_error_is_raised_once_both_lanes_stopped(one_blas_thread, monkeypatch,
+                                                        failing):
+    spec, params, x = lane_case(60, LANE_ROWS)
+    caller, dense = threading.get_ident(), kernels.dense
+    other_layers, other_stopped = [], threading.Event()
+
+    def dense_or_fail(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} lane failed")
+        time.sleep(0.1)
+        out = dense(*args)
+        other_layers.append(out)
+        if len(other_layers) == len(spec.activations):
+            other_stopped.set()
+        return out
+
+    monkeypatch.setattr(kernels, "dense", dense_or_fail)
+    with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
+        mdl.mlp_forward(spec, params, x)
+    assert other_stopped.is_set()
+
+
+def _read_until_eof(fd, seconds):
+    """Bytes from ``fd`` until its writer closes it; None after ``seconds``."""
+    chunks, deadline = [], time.monotonic() + seconds
+    while True:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            return None
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def test_a_forked_child_scores_with_lanes_after_its_parent(one_blas_thread):
+    spec, params, x = lane_case(128, LANE_ROWS)
+    want = mdl.mlp_forward(spec, params, x)  # the parent's lane worker now runs
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(mdl.mlp_forward(spec, params, x).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    got = None
+    try:
+        got = _read_until_eof(read_end, seconds=20)
+    finally:
+        os.close(read_end)
+        if got is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert got is not None, "the forked child did not finish scoring within 20 s"
+    assert got == want.tobytes()

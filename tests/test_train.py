@@ -2,8 +2,12 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from adadrug import autodiff as ad
 from adadrug import data as dat
+from adadrug import kernels
 from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
@@ -807,3 +812,40 @@ def test_discriminator_converges_to_chance_on_shifted_synth():
         model, _ = tr.train(train_b, run_cfg)
         accs.append(_discriminator_accuracy(model, run_cfg, held_b))
     assert 0.35 <= np.mean(accs) <= 0.65, accs
+
+
+# trains a small 500-gene model at paper widths, saves its checkpoint to
+# argv[1] and prints the BLAS thread count it ran under
+TRAIN_500_GENES = """
+import sys
+from adadrug import kernels, synth, train
+gen = synth.generate(synth.SynthConfig(n_sources=2, n_per_domain=64, n_target=64,
+                                       n_genes=500, seed=1))
+cfg = train.TrainConfig(epochs=2, batch_size=32, seed=0)
+model, history = train.train(gen.bundle, cfg)
+train.save_checkpoint(model, cfg, history.final_step, sys.argv[1])
+print(kernels.blas_threads())
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="BLAS orders a 500-wide product's sums by its thread count, "
+                   "and training does not pin that count yet")
+def test_a_500_gene_checkpoint_does_not_depend_on_the_blas_thread_count(tmp_path):
+    if kernels.blas_threads() is None:
+        pytest.skip("no loaded BLAS exports an OpenBLAS thread-count getter")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    checkpoints = []
+    for threads in (1, 2):
+        path = tmp_path / f"checkpoint_{threads}.bin"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+                   "PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", TRAIN_500_GENES, str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:  # a broken child fails the test, not the xfail
+            raise RuntimeError(proc.stderr)
+        if int(proc.stdout.split()[-1]) != threads:
+            pytest.skip(f"BLAS would not run {threads} threads in the child")
+        checkpoints.append(path.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
