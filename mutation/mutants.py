@@ -187,6 +187,24 @@ MUTANTS = (
     ),
     # -- run inputs ----------------------------------------------------------
     Mutant(
+        "labels_cast_before_they_are_checked",
+        "src/adadrug/data.py",
+        "if not np.isin(labels, (0, 1)).all():",
+        "if not np.isin(labels.astype(np.int64), (0, 1)).all():",
+        ("tests/test_data.py::"
+         "test_a_domain_label_that_is_not_exactly_0_or_1_is_refused_not_truncated[0.5]",
+         *(f"tests/test_evaluate.py::"
+           f"test_a_label_that_is_not_exactly_0_or_1_is_refused_not_truncated[0.5-{m}]"
+           for m in ("auroc", "aupr"))),
+    ),
+    Mutant(
+        "empty_gene_list_accepted",
+        "src/adadrug/cli.py",
+        'if gene_list == "":',
+        "if False:",
+        ("tests/test_cli.py::test_bad_path_setting_is_config_error[gene_list-empty]",),
+    ),
+    Mutant(
         "one_class_target_labels_accepted",
         "src/adadrug/cli.py",
         "if np.unique(labels).size != 2:",
@@ -368,7 +386,8 @@ MUTANTS = (
         "lim = np.sqrt(6.0 / w.shape[1])",
         ("tests/test_model.py::test_init_biases_are_exactly_zero_and_weights_bounded",),
     ),
-    # the row lanes of mlp_forward run in tier-1 under its one-BLAS-thread fixture
+    # the row lanes of mlp_forward run in tier-1 wherever the process may use
+    # two CPUs
     Mutant(
         "lanes_joined_in_the_wrong_order",
         "src/adadrug/model.py",
@@ -390,12 +409,22 @@ MUTANTS = (
         "spec, params, x[half - 1:])",
         LANE_BITS,
     ),
+    # without the pin, each lane's products run on BLAS's own threads too
     Mutant(
         "lanes_stack_on_blas_threads",
         "src/adadrug/model.py",
-        "return cpus >= 2 and kernels.blas_threads() == 1",
-        "return cpus >= 2",
-        ("tests/test_model.py::test_lanes_stay_off_when_blas_runs_two_threads",),
+        "@kernels.one_blas_thread()\ndef mlp_forward(",
+        "def mlp_forward(",
+        ("tests/test_model.py::"
+         "test_mlp_forward_runs_on_one_blas_thread_and_keeps_the_callers_count",),
+    ),
+    Mutant(
+        "one_cpu_scores_the_batch_uncut",
+        "src/adadrug/model.py",
+        "return np.concatenate([_forward(spec, params, rows)\n"
+        "                               for rows in (x[:half], x[half:])])",
+        "return _forward(spec, params, x)",
+        ("tests/test_model.py::test_a_batch_is_cut_at_the_same_row_on_one_cpu_as_on_two",),
     ),
     Mutant(
         "lane_error_raised_before_the_other_lane_stops",
@@ -540,6 +569,41 @@ MUTANTS = (
         "except FileNotFoundError as e:\n        raise CheckpointError",
         ("tests/test_cli.py::test_an_input_that_is_a_directory_exits_2_naming_it"
          "[predict-checkpoint]",),
+    ),
+    # -- one BLAS thread ---------------------------------------------------
+    Mutant(
+        "train_without_the_blas_pin",
+        "src/adadrug/train.py",
+        "@kernels.one_blas_thread()\ndef train(",
+        "def train(",
+        ("tests/test_train.py::"
+         "test_a_500_gene_checkpoint_does_not_depend_on_the_blas_thread_count",
+         "tests/test_train.py::"
+         "test_train_runs_on_one_blas_thread_and_restores_the_callers_count"),
+    ),
+    Mutant(
+        "blas_pin_keeps_one_thread_after_the_block",
+        "src/adadrug/kernels.py",
+        "put(_pin_saved)",
+        "pass",
+        ("tests/test_train.py::"
+         "test_train_runs_on_one_blas_thread_and_restores_the_callers_count",),
+    ),
+    Mutant(
+        "blas_pin_restored_while_another_block_is_open",
+        "src/adadrug/kernels.py",
+        "            if _pin_depth == 0:\n                put(_pin_saved)",
+        "            put(_pin_saved)",
+        ("tests/test_kernels.py::"
+         "test_one_blas_thread_blocks_overlapping_across_threads_restore_the_count_once",),
+    ),
+    Mutant(
+        "blas_pin_restores_nothing_when_the_block_raises",
+        "src/adadrug/kernels.py",
+        "    try:\n        yield\n    finally:",
+        "    if True:\n        yield\n    if True:",
+        ("tests/test_train.py::"
+         "test_train_runs_on_one_blas_thread_and_restores_the_callers_count",),
     ),
     # -- target scoring ----------------------------------------------------
     Mutant(

@@ -98,6 +98,8 @@ def validate_config(doc):
     gene_list = doc.get("gene_list")
     if gene_list is not None and not isinstance(gene_list, str):
         raise ConfigError("/gene_list: must be a string or null")
+    if gene_list == "":
+        raise ConfigError("/gene_list: must not be empty; null means no gene list")
     file_format = doc.get("file_format", "csv")
     if not isinstance(file_format, str) or file_format not in dat.DELIMS:
         formats = " or ".join(map(repr, dat.DELIMS))

@@ -113,11 +113,19 @@ class LabeledDomain:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
-        if self.labels.shape[0] != self.expr.n_samples:
+        labels = np.asarray(self.labels).ravel()
+        if labels.shape[0] != self.expr.n_samples:
             raise ValueError("label count does not match sample count")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
+        self.labels = binary_labels(labels)
+
+
+def binary_labels(labels):
+    """``labels`` (a flat array) as int64; ValueError unless every value is
+    exactly 0 or 1. The values are checked before the cast, so 0.5 or NaN is
+    refused, not truncated."""
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return labels.astype(np.int64)
 
 
 @dataclass

@@ -27,14 +27,12 @@ class MetricsReport:
 
 def _check_scores_labels(scores, labels):
     s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel().astype(np.int64)
+    y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return s, y
+    return s, dat.binary_labels(y)
 
 
 def _average_ranks(s):

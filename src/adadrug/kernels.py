@@ -11,13 +11,18 @@ sequential and bitwise deterministic for fixed inputs.
 itself; they then write their result there with in-place ufuncs instead of
 allocating temporaries, and give the same bits as the out-of-place call.
 
-``blas_threads`` reads how many threads the loaded OpenBLAS runs a product
-on; ``model.mlp_forward`` splits a large batch into row lanes only when it
-reads 1.
+BLAS sums a wide product's terms in an order that depends on how many
+threads it runs the product on. ``one_blas_thread`` pins the loaded OpenBLAS
+to one thread for a block and gives the caller's count back after it;
+``train.train`` and ``model.mlp_forward`` run inside it, so their bits depend
+on the seed, the BLAS build and the CPU kernel only, not on
+``OPENBLAS_NUM_THREADS``. ``blas_threads`` reads the count.
 """
 
+import contextlib
 import ctypes
 import functools
+import threading
 
 import numpy as np
 
@@ -34,6 +39,7 @@ ADAM_BLOCK = 1 << 15
 # scipy-openblas wheels prefix and suffix every symbol)
 _BLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                      "openblas_get_num_threads")
+_BLAS_SET_THREADS = tuple(name.replace("_get_", "_set_") for name in _BLAS_GET_THREADS)
 
 
 @functools.cache
@@ -59,14 +65,56 @@ def _openblas_function(names):
     return None
 
 
+@functools.cache
+def _blas_thread_calls():
+    """(get, set): the loaded OpenBLAS's thread-count getter and setter as
+    ctypes functions, or None when no loaded library exports both."""
+    get = _openblas_function(_BLAS_GET_THREADS)
+    put = _openblas_function(_BLAS_SET_THREADS)
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
 def blas_threads():
     """Threads the loaded OpenBLAS runs a product on, read from the library
-    itself; None when no loaded library exports a thread-count getter."""
-    fn = _openblas_function(_BLAS_GET_THREADS)
-    if fn is None:
-        return None
-    fn.argtypes, fn.restype = (), ctypes.c_int
-    return fn()
+    itself; None when no loaded library exports the thread-count calls."""
+    calls = _blas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # one_blas_thread blocks open now, in any thread
+_pin_saved = None  # the count the first of them found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Runs the block with the loaded OpenBLAS on one thread and restores the
+    caller's count after it, also when the block raises. Blocks may nest and
+    overlap across threads: the first to enter saves the count, and the last
+    to leave restores it. Does nothing where no loaded OpenBLAS exports the
+    thread-count calls. Also a decorator: each call runs inside the pin."""
+    global _pin_depth, _pin_saved
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
 
 
 def sigmoid(x, out=None):

@@ -14,7 +14,9 @@ Both therefore give the same bits for the same parameters, and each job has
 one forward. The layer adds the bias and applies its activation in place on
 the fresh matmul result, so it allocates one array, not three.
 
-``mlp_forward`` may run a large batch as two row lanes on two threads.
+``mlp_forward`` runs on one BLAS thread (``kernels.one_blas_thread``) and
+cuts a large batch into two row halves at the same row on any machine; the
+halves run as two lanes on two threads when the process may use two CPUs.
 """
 
 import os
@@ -200,13 +202,13 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
 
 
 def _lanes_free():
-    """Two CPUs for this process and one BLAS thread: lanes then take the
-    second CPU instead of competing with BLAS's own threads for it."""
+    """Two CPUs for this process. BLAS runs one thread inside
+    ``mlp_forward``, so the second lane does not compete with BLAS's own
+    threads for the second CPU."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0)) >= 2
     except AttributeError:  # no affinity call on this platform
         return False
-    return cpus >= 2 and kernels.blas_threads() == 1
 
 
 def _forward(spec, params, x):
@@ -216,20 +218,27 @@ def _forward(spec, params, x):
     return a
 
 
+@kernels.one_blas_thread()
 def mlp_forward(spec, params, x):
-    """Array forward; ``x`` is only read, every layer writes its own array.
+    """Array forward on one BLAS thread; ``x`` is only read, every layer
+    writes its own array.
 
-    A batch of at least ``2 * LANE_MIN_ROWS`` rows runs as two lanes when
-    ``_lanes_free()``: the caller's thread takes the first half of the rows
-    and one pooled worker thread the rest, each through the same layer loop,
-    and the two results are joined in row order. An exception in either lane
-    is raised once both have stopped. Rows are independent, and a lane is far
-    above the short products BLAS computes along another path, so at layer
-    widths that are multiples of 8 the lanes give the serial loop's bits.
+    A batch of at least ``2 * LANE_MIN_ROWS`` rows is cut into two halves at
+    row ``len(x) // 2``, each run through the same layer loop and joined in
+    row order. When ``_lanes_free()``, the halves run as two lanes: the
+    caller's thread takes the first and one pooled worker thread the second,
+    and an exception in either lane is raised once both have stopped.
+    Otherwise both run in the caller's thread. At output widths that are not
+    a multiple of 8 a row's bits can depend on the height of the product it
+    is computed in; the cut, and so every height, is the same on one CPU as
+    on two.
     """
-    if len(x) < 2 * LANE_MIN_ROWS or not _lanes_free():
+    if len(x) < 2 * LANE_MIN_ROWS:
         return _forward(spec, params, x)
     half = len(x) // 2
+    if not _lanes_free():
+        return np.concatenate([_forward(spec, params, rows)
+                               for rows in (x[:half], x[half:])])
     tail = _lane_worker().submit(_forward, spec, params, x[half:])
     try:
         head = _forward(spec, params, x[:half])

@@ -286,15 +286,17 @@ def train_step(bundle, batch, cfg, lam):
     return grad, parts
 
 
+@kernels.one_blas_thread()
 def train(bundle, cfg):
     """Train a fresh model on a DomainBundle; returns (ModelBundle, history).
 
     Upsampling (when enabled) is applied per source domain before batching
-    and never to the target. Bitwise deterministic given ``cfg.seed``, the
-    BLAS build and the BLAS thread count, which orders the sums in wide
-    products. Raises ``DivergenceError`` naming the step and its loss parts
-    when a step's total loss is not finite, or when a parameter is not
-    finite at the end.
+    and never to the target. Runs on one BLAS thread and restores the
+    caller's count on return, also when it raises, so the result is bitwise
+    deterministic given ``cfg.seed``, the BLAS build and the CPU kernel,
+    whatever ``OPENBLAS_NUM_THREADS`` says. Raises ``DivergenceError``
+    naming the step and its loss parts when a step's total loss is not
+    finite, or when a parameter is not finite at the end.
     Under glibc it first has the heap keep freed pages (``_HEAP_TOP_PAD``).
     """
     mallopt = _glibc_mallopt()

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import ctypes
 import json
 import multiprocessing
 import os
@@ -279,32 +278,28 @@ def make_domain(rng, n=20, n_genes=6, pos_rate=0.5, tag="s"):
 @contextlib.contextmanager
 def blas_threads_set(n):
     """Runs the block with OpenBLAS on ``n`` threads and restores the count
-    after, through the lookup ``kernels.blas_threads`` uses. Skips the test,
-    naming why, where no loaded BLAS exports the thread-count calls or where
-    this process may use one CPU only, so ``model.mlp_forward`` never splits."""
-    before = kernels.blas_threads()
-    set_threads = kernels._openblas_function(
-        tuple(name.replace("_get_", "_set_") for name in kernels._BLAS_GET_THREADS))
-    if before is None or set_threads is None:
+    after, through the calls ``kernels.one_blas_thread`` uses. Skips the test,
+    naming why, where no loaded BLAS exports those calls or would not run
+    ``n`` threads."""
+    calls = kernels._blas_thread_calls()
+    if calls is None:
         pytest.skip("no loaded BLAS exports the OpenBLAS thread-count calls")
-    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
-        pytest.skip("this process may use one CPU, so mlp_forward runs no lanes")
-    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-    set_threads(n)
+    get, put = calls
+    before = get()
+    put(n)
     try:
-        if kernels.blas_threads() != n:
+        if get() != n:
             pytest.skip(f"the loaded BLAS would not run {n} threads")
         yield
     finally:
-        set_threads(before)
+        put(before)
 
 
-@pytest.fixture
-def one_blas_thread():
-    """One BLAS thread on a process that may use two CPUs: ``model.mlp_forward``
-    then splits a large batch into two row lanes."""
-    with blas_threads_set(1):
-        yield
+# model.mlp_forward runs its two row lanes on two threads only where this
+# process may use two CPUs
+two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="this process may use one CPU, so mlp_forward runs no lanes")
 
 
 @pytest.fixture

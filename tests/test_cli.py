@@ -527,6 +527,8 @@ def test_any_json_train_value_parses_or_is_config_error(key, value):
     ("file_format", {"csv": 1}, "/file_format: must be 'csv' or 'tsv'"),
     ("gene_list", 3, "/gene_list: must be a string or null"),
     ("gene_list", ["g1"], "/gene_list: must be a string or null"),
+    pytest.param("gene_list", "", "/gene_list: must not be empty; null means no gene list",
+                 id="gene_list-empty"),
 ])
 def test_bad_path_setting_is_config_error(key, value, message):
     with pytest.raises(cli.ConfigError) as err:

@@ -727,6 +727,14 @@ def test_weight_upsample_within_class_is_uniform(rng):
     assert np.abs(freq - 0.1).max() < 0.02
 
 
+@pytest.mark.parametrize("bad", [0.5, np.nan])
+def test_a_domain_label_that_is_not_exactly_0_or_1_is_refused_not_truncated(rng, bad):
+    expr = make_domain(rng, n=2).expr
+    with np.errstate(invalid="raise"), pytest.raises(ValueError,
+                                                     match="labels must be 0 or 1"):
+        dat.LabeledDomain(expr, [bad, 1.0])
+
+
 def test_weight_upsample_single_class_errors(rng):
     dom = make_domain(rng, n=10)
     dom = dat.LabeledDomain(dom.expr, np.ones(10, dtype=np.int64))

@@ -28,6 +28,14 @@ def test_auroc_single_class_errors():
         ev.auroc([0.1, 0.2], [1, 1])
 
 
+@pytest.mark.parametrize("metric", [ev.auroc, ev.aupr])
+@pytest.mark.parametrize("bad", [0.5, np.nan])
+def test_a_label_that_is_not_exactly_0_or_1_is_refused_not_truncated(metric, bad):
+    with np.errstate(invalid="raise"), pytest.raises(ValueError,
+                                                     match="labels must be 0 or 1"):
+        metric([0.1, 0.9, 0.5], [bad, 1.0, 0.0])
+
+
 def test_auroc_matches_pair_count_oracle_with_ties():
     rng = np.random.default_rng(0)
     for trial in range(30):

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adadrug import kernels
+
+from conftest import blas_threads_set
 
 
 def _rand(shape, seed):
@@ -151,3 +156,31 @@ def test_sigmoid_matches_the_two_branch_formula_bitwise():
     z = np.exp(-np.abs(x))
     expect = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
     assert kernels.sigmoid(x).tobytes() == expect.tobytes()
+
+
+def test_one_blas_thread_blocks_overlapping_across_threads_restore_the_count_once():
+    # the first block in saves the caller's count and the last out restores
+    # it, so no block sees another's restore
+    seen, start = [], threading.Barrier(4)
+
+    def pinned_reads():
+        start.wait(timeout=60)
+        for _ in range(300):
+            with kernels.one_blas_thread():
+                time.sleep(0)  # let another thread enter or leave meanwhile
+                seen.append(kernels.blas_threads())
+
+    with blas_threads_set(2):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pinned_reads) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 4 * 300 and set(seen) == {1}
+        assert kernels.blas_threads() == 2

@@ -11,7 +11,7 @@ from adadrug import autodiff as ad
 from adadrug import kernels
 from adadrug import model as mdl
 
-from conftest import blas_threads_set, make_bundle
+from conftest import blas_threads_set, make_bundle, two_cpus
 
 
 def one_layer_bundle():
@@ -336,16 +336,18 @@ def test_mlp_forward_reads_its_input_only(widths, out_activation):
 
 
 # ---------------------------------------------------------------------------
-# row lanes: a large batch on two threads when BLAS runs one
+# row halves: a large batch is cut in two, run on two threads where the
+# process may use two CPUs
 # ---------------------------------------------------------------------------
 
 LANE_ROWS = 2 * mdl.LANE_MIN_ROWS  # the smallest batch mlp_forward splits
 
 
-def lane_case(width, rows):
-    """A paper-width encoder shape (width -> 256 -> 128) ending in a sigmoid,
-    so every activation runs, with He-scaled weights and random biases."""
-    spec = mdl.MlpSpec((width, 256, 128), out_activation="sigmoid")
+def lane_case(width, rows, out_width=128):
+    """A paper-width encoder shape (width -> 256 -> out_width) ending in a
+    sigmoid, so every activation runs, with He-scaled weights and random
+    biases."""
+    spec = mdl.MlpSpec((width, 256, out_width), out_activation="sigmoid")
     rng = np.random.default_rng(width)
     params = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
@@ -367,19 +369,22 @@ def record_dense_threads(monkeypatch):
     return idents
 
 
+@two_cpus
 @pytest.mark.parametrize("rows", [LANE_ROWS, LANE_ROWS + 1])
 @pytest.mark.parametrize("width", [60, 128, 500, 2000])
-def test_lanes_give_the_serial_loops_bits(one_blas_thread, width, rows):
+def test_lanes_give_the_serial_loops_bits(width, rows):
     spec, params, x = lane_case(width, rows)
     got = mdl.mlp_forward(spec, params, x)
     a = x
-    for i, act in enumerate(spec.activations):
-        a = kernels.dense(a, params[2 * i], params[2 * i + 1], act)
+    with kernels.one_blas_thread():  # the serial loop on mlp_forward's BLAS thread
+        for i, act in enumerate(spec.activations):
+            a = kernels.dense(a, params[2 * i], params[2 * i + 1], act)
     assert got.shape == a.shape
     assert got.tobytes() == a.tobytes()
 
 
-def test_lanes_run_dense_on_two_threads_from_the_threshold(one_blas_thread, monkeypatch):
+@two_cpus
+def test_lanes_run_dense_on_two_threads_from_the_threshold(monkeypatch):
     spec, params, x = lane_case(60, LANE_ROWS)
     idents = record_dense_threads(monkeypatch)
     mdl.mlp_forward(spec, params, x[:-1])
@@ -389,17 +394,39 @@ def test_lanes_run_dense_on_two_threads_from_the_threshold(one_blas_thread, monk
     assert len(set(idents)) == 2 and threading.get_ident() in idents
 
 
-def test_lanes_stay_off_when_blas_runs_two_threads(monkeypatch):
-    spec, params, x = lane_case(60, 4 * LANE_ROWS)
+def test_mlp_forward_runs_on_one_blas_thread_and_keeps_the_callers_count(monkeypatch):
+    # at 500 inputs BLAS sums x @ W differently on one thread and on two
+    spec, params, x = lane_case(500, LANE_ROWS)
+    with blas_threads_set(1):
+        want = mdl.mlp_forward(spec, params, x)
+    counts, dense = [], kernels.dense
+
+    def counted(*args):
+        counts.append(kernels.blas_threads())
+        return dense(*args)
+
+    monkeypatch.setattr(kernels, "dense", counted)
     with blas_threads_set(2):
-        idents = record_dense_threads(monkeypatch)
-        mdl.mlp_forward(spec, params, x)
-    assert set(idents) == {threading.get_ident()}
+        got = mdl.mlp_forward(spec, params, x)
+        assert kernels.blas_threads() == 2
+    assert set(counts) == {1}
+    assert got.tobytes() == want.tobytes()
 
 
+def test_a_batch_is_cut_at_the_same_row_on_one_cpu_as_on_two(monkeypatch):
+    # at output width 196 a row's last bits can depend on the height of the
+    # product it is computed in: 1,024 rows against two halves of 512
+    spec, params, x = lane_case(60, LANE_ROWS, out_width=196)
+    outs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        outs.append(mdl.mlp_forward(spec, params, x))
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+@two_cpus
 @pytest.mark.parametrize("failing", ["caller", "worker"])
-def test_a_lane_error_is_raised_once_both_lanes_stopped(one_blas_thread, monkeypatch,
-                                                        failing):
+def test_a_lane_error_is_raised_once_both_lanes_stopped(monkeypatch, failing):
     spec, params, x = lane_case(60, LANE_ROWS)
     caller, dense = threading.get_ident(), kernels.dense
     other_layers, other_stopped = [], threading.Event()
@@ -433,7 +460,8 @@ def _read_until_eof(fd, seconds):
         chunks.append(chunk)
 
 
-def test_a_forked_child_scores_with_lanes_after_its_parent(one_blas_thread):
+@two_cpus
+def test_a_forked_child_scores_with_lanes_after_its_parent():
     spec, params, x = lane_case(128, LANE_ROWS)
     want = mdl.mlp_forward(spec, params, x)  # the parent's lane worker now runs
     read_end, write_end = os.pipe()

@@ -21,7 +21,7 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import (JSON_VALUES, UNFUSED, make_domain, split_grad,
+from conftest import (JSON_VALUES, UNFUSED, blas_threads_set, make_domain, split_grad,
                       swap_body_blocks, write_v1_checkpoint)
 
 
@@ -256,6 +256,23 @@ def test_non_finite_parameter_after_the_last_step_raises(rng):
                                       r"step \(0\).*LossParts\(reco="):
         tr.train(bundle, tiny_cfg(learning_rate=1e308, beta1=0.0, beta2=0.0,
                                   epochs=1, batch_size=64))
+
+
+def test_train_runs_on_one_blas_thread_and_restores_the_callers_count(rng, monkeypatch):
+    bundle, counts, step = tiny_bundle(rng), [], tr.train_step
+
+    def counted(*args):
+        counts.append(kernels.blas_threads())
+        return step(*args)
+
+    monkeypatch.setattr(tr, "train_step", counted)
+    with blas_threads_set(2):
+        tr.train(bundle, tiny_cfg())
+        assert kernels.blas_threads() == 2
+        with np.errstate(all="ignore"), pytest.raises(tr.DivergenceError):
+            tr.train(bundle, tiny_cfg(learning_rate=1e200, beta1=0.0, beta2=0.0))
+        assert kernels.blas_threads() == 2
+    assert set(counts) == {1}
 
 
 def test_single_class_source_with_sampler_errors(rng):
@@ -815,7 +832,8 @@ def test_discriminator_converges_to_chance_on_shifted_synth():
 
 
 # trains a small 500-gene model at paper widths, saves its checkpoint to
-# argv[1] and prints the BLAS thread count it ran under
+# argv[1] and prints the BLAS thread count its environment set, which train
+# gives back on return
 TRAIN_500_GENES = """
 import sys
 from adadrug import kernels, synth, train
@@ -828,9 +846,6 @@ print(kernels.blas_threads())
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="BLAS orders a 500-wide product's sums by its thread count, "
-                   "and training does not pin that count yet")
 def test_a_500_gene_checkpoint_does_not_depend_on_the_blas_thread_count(tmp_path):
     if kernels.blas_threads() is None:
         pytest.skip("no loaded BLAS exports an OpenBLAS thread-count getter")
@@ -843,8 +858,7 @@ def test_a_500_gene_checkpoint_does_not_depend_on_the_blas_thread_count(tmp_path
                    "PYTHONPATH"))))}
         proc = subprocess.run([sys.executable, "-c", TRAIN_500_GENES, str(path)],
                               env=env, capture_output=True, text=True, timeout=300)
-        if proc.returncode != 0:  # a broken child fails the test, not the xfail
-            raise RuntimeError(proc.stderr)
+        assert proc.returncode == 0, proc.stderr
         if int(proc.stdout.split()[-1]) != threads:
             pytest.skip(f"BLAS would not run {threads} threads in the child")
         checkpoints.append(path.read_bytes())
