@@ -386,27 +386,30 @@ MUTANTS = (
         "lim = np.sqrt(6.0 / w.shape[1])",
         ("tests/test_model.py::test_init_biases_are_exactly_zero_and_weights_bounded",),
     ),
-    # the row lanes of mlp_forward run in tier-1 wherever the process may use
-    # two CPUs
+    # the row lanes of mlp_forward run in tier-1 on every machine
     Mutant(
         "lanes_joined_in_the_wrong_order",
         "src/adadrug/model.py",
-        "np.concatenate((head, tail.result()))",
-        "np.concatenate((tail.result(), head))",
+        "x[half:], out[half:])\n"
+        "    try:\n"
+        "        _forward(spec, params, x[:half], out[:half])",
+        "x[half:], out[:len(x) - half])\n"
+        "    try:\n"
+        "        _forward(spec, params, x[:half], out[len(x) - half:])",
         LANE_BITS,
     ),
     Mutant(
         "lane_split_drops_a_row",
         "src/adadrug/model.py",
-        "spec, params, x[half:])",
-        "spec, params, x[half + 1:])",
+        "spec, params, x[half:], out[half:])",
+        "spec, params, x[half + 1:], out[half:-1])",
         LANE_BITS,
     ),
     Mutant(
         "lane_split_repeats_a_row",
         "src/adadrug/model.py",
-        "spec, params, x[half:])",
-        "spec, params, x[half - 1:])",
+        "spec, params, x[half:], out[half:])",
+        "spec, params, x[half - 1:-1], out[half:])",
         LANE_BITS,
     ),
     # without the pin, each lane's products run on BLAS's own threads too
@@ -419,14 +422,6 @@ MUTANTS = (
          "test_mlp_forward_runs_on_one_blas_thread_and_keeps_the_callers_count",),
     ),
     Mutant(
-        "one_cpu_scores_the_batch_uncut",
-        "src/adadrug/model.py",
-        "return np.concatenate([_forward(spec, params, rows)\n"
-        "                               for rows in (x[:half], x[half:])])",
-        "return _forward(spec, params, x)",
-        ("tests/test_model.py::test_a_batch_is_cut_at_the_same_row_on_one_cpu_as_on_two",),
-    ),
-    Mutant(
         "lane_error_raised_before_the_other_lane_stops",
         "src/adadrug/model.py",
         "futures.wait((tail,))",
@@ -436,7 +431,7 @@ MUTANTS = (
     Mutant(
         "forked_child_hands_work_to_the_parents_lane_worker",
         "src/adadrug/model.py",
-        "    os.register_at_fork(after_in_child=_forget_lane_worker)",
+        "    os.register_at_fork(after_in_child=_start_lane_worker)",
         "    os.register_at_fork(after_in_child=lambda: None)",
         ("tests/test_model.py::test_a_forked_child_scores_with_lanes_after_its_parent",),
     ),
@@ -614,6 +609,14 @@ MUTANTS = (
         "cuts = [min(n, chunk * i) for i in range(blocks + 1)]\n"
         "    gap_buf = np.empty((min(chunk, n), m, d))",
         ("tests/test_evaluate.py::test_one_reference_blocks_give_the_one_block_bits",),
+    ),
+    Mutant(
+        "empty_source_reaches_the_block_division",
+        "src/adadrug/evaluate.py",
+        "        if expr.n_samples == 0:\n",
+        "        if False:\n",
+        tuple(f"tests/test_evaluate.py::"
+              f"test_scoring_refuses_an_empty_source_before_encoding[{i}]" for i in (0, 1)),
     ),
     Mutant(
         "reference_rows_drawn_with_replacement",

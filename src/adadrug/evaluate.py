@@ -96,10 +96,9 @@ def metrics_report(scores, labels):
 # ---------------------------------------------------------------------------
 
 # gap rows per generator call in mean_reference_weights. model.mlp_forward
-# runs a call this size as two row lanes when it can, so each lane's arrays
-# are about 1,024 rows, 1 MB at d = 128: small enough to stay in cache and to
-# be reused by the allocator instead of being mapped (and page-faulted) afresh
-# every block
+# runs a call this size as two row lanes, so each lane's arrays are about
+# 1,024 rows, 1 MB at d = 128: small enough to stay in cache and to be reused
+# by the allocator instead of being mapped (and page-faulted) afresh each block
 GAP_ROW_BUDGET = 2048
 
 
@@ -110,6 +109,15 @@ def _reference_rows(n, ref_batch, rng):
     return rng.choice(n, size=ref_batch, replace=False)
 
 
+def _source_matrices(sources):
+    """Each source's ``ExpressionMatrix``; one with no rows is refused."""
+    exprs = [dom.expr if isinstance(dom, dat.LabeledDomain) else dom for dom in sources]
+    for i, expr in enumerate(exprs):
+        if expr.n_samples == 0:
+            raise ValueError(f"source {i} has no samples to draw references from")
+    return exprs
+
+
 def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     """Average importance vector per target row against sampled source refs.
 
@@ -117,7 +125,8 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     reference samples drawn per source domain (deterministic in ``seed``)
     and averaged over all of them, mirroring the mean weight the target
     side receives during training. A source is an ``ExpressionMatrix`` or
-    a ``LabeledDomain``, whose labels are not read.
+    a ``LabeledDomain``, whose labels are not read; one with no rows is
+    refused with a ``ValueError`` that names its index.
 
     Target rows are scored in blocks: the fewest that keep each within
     ``GAP_ROW_BUDGET`` gap rows (or one target row), with sizes that differ
@@ -131,10 +140,10 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
     """
     if ref_batch < 1:
         raise ValueError("ref_batch must be >= 1")
+    exprs = _source_matrices(sources)
     rng = np.random.default_rng(seed)
     h_refs = []
-    for dom in sources:
-        expr = dom.expr if isinstance(dom, dat.LabeledDomain) else dom
+    for expr in exprs:
         rows = _reference_rows(expr.n_samples, ref_batch, rng)
         h_refs.append(mdl.encode(bundle, expr.values[rows]))
     h_ref = np.vstack(h_refs)
@@ -166,8 +175,10 @@ def embed_target(bundle, target, sources=None, ref_batch=128, seed=0):
 
     With sources, each target embedding is modulated by its mean reference
     weight vector against them; with none (``None`` or empty), the raw
-    embedding is returned and ``ref_batch``/``seed`` are ignored.
+    embedding is returned and ``ref_batch``/``seed`` are ignored. A source
+    with no rows is refused before anything is encoded.
     """
+    sources = _source_matrices(sources or ())
     h = mdl.encode(bundle, target.values)
     if sources:
         w = mean_reference_weights(bundle, h, sources, ref_batch=ref_batch, seed=seed)

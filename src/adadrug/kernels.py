@@ -3,9 +3,10 @@
 ``dense`` is the one dense-layer implementation: ``model.mlp_forward`` calls
 it directly and ``autodiff.dense`` records it on the tape, so the two forward
 paths share their code instead of being kept bitwise equal by hand. Its
-matrix product goes straight to BLAS through ``@``; bias and activation are
-applied in place on that fresh product. Every kernel is plain numpy,
-sequential and bitwise deterministic for fixed inputs.
+matrix product goes straight to BLAS, into ``out`` when given (each of
+``mlp_forward``'s lanes writes its rows of one result so); bias and
+activation are applied in place on that product. Every kernel is plain
+numpy, sequential and bitwise deterministic for fixed inputs.
 
 ``sigmoid`` and ``relu`` take an optional ``out`` array, which may be ``x``
 itself; they then write their result there with in-place ufuncs instead of
@@ -142,10 +143,11 @@ def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-def dense(x, W, b, act):
-    """``act(x @ W + b)`` for act in relu, sigmoid, none; ``x`` is only read,
-    and the result is the one array the layer allocates."""
-    a = x @ W
+def dense(x, W, b, act, out=None):
+    """``act(x @ W + b)`` for act in relu, sigmoid, none; ``x`` is only read.
+    The product goes to ``out`` if given, else to the one array the layer
+    allocates, and bias and activation apply in place there."""
+    a = np.matmul(x, W, out=out)
     a += b
     if act == "relu":
         relu(a, out=a)

@@ -15,12 +15,12 @@ one forward. The layer adds the bias and applies its activation in place on
 the fresh matmul result, so it allocates one array, not three.
 
 ``mlp_forward`` runs on one BLAS thread (``kernels.one_blas_thread``) and
-cuts a large batch into two row halves at the same row on any machine; the
-halves run as two lanes on two threads when the process may use two CPUs.
+cuts a large batch into two row halves at the same row on any machine. The
+halves always run as two lanes on two threads, each writing its rows of one
+result; no branch depends on the CPU count.
 """
 
 import os
-import threading
 from concurrent import futures
 from dataclasses import dataclass, field
 
@@ -173,49 +173,30 @@ def init_params(specs, seed):
 # rows of the smaller lane of a split mlp_forward: far above the short
 # products BLAS computes along another path (under 8 rows at 500 inputs), and
 # at the generator's 128 widths about 1 ms of work, which repays the
-# hand-off to the worker thread and the copy of the joined result
+# hand-off to the worker thread
 LANE_MIN_ROWS = 512
 
-_lane_lock = threading.Lock()
-_lane_pool = None
 
-
-def _lane_worker():
-    """The one worker thread of the second lane, started on first use."""
+def _start_lane_worker():
+    # the one worker thread of the second lane, started on its first task. A
+    # forked child has only the forking thread: work handed to the parent's
+    # worker would wait forever, so the child makes its own
     global _lane_pool
-    with _lane_lock:
-        if _lane_pool is None:
-            _lane_pool = futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="adadrug-lane")
-        return _lane_pool
+    _lane_pool = futures.ThreadPoolExecutor(1, thread_name_prefix="adadrug-lane")
 
 
-def _forget_lane_worker():
-    # a forked child has only the forking thread: work handed to the
-    # parent's worker would wait forever, so the child starts its own
-    global _lane_pool, _lane_lock
-    _lane_pool, _lane_lock = None, threading.Lock()
-
-
+_start_lane_worker()
 if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_lane_worker)
+    os.register_at_fork(after_in_child=_start_lane_worker)
 
 
-def _lanes_free():
-    """Two CPUs for this process. BLAS runs one thread inside
-    ``mlp_forward``, so the second lane does not compete with BLAS's own
-    threads for the second CPU."""
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:  # no affinity call on this platform
-        return False
-
-
-def _forward(spec, params, x):
+def _forward(spec, params, x, out=None):
+    """The layer loop; the last layer writes its product to ``out`` when given."""
+    *hidden, last = spec.activations
     a = x
-    for i, act in enumerate(spec.activations):
+    for i, act in enumerate(hidden):
         a = kernels.dense(a, params[2 * i], params[2 * i + 1], act)
-    return a
+    return kernels.dense(a, params[-2], params[-1], last, out)
 
 
 @kernels.one_blas_thread()
@@ -223,28 +204,26 @@ def mlp_forward(spec, params, x):
     """Array forward on one BLAS thread; ``x`` is only read, every layer
     writes its own array.
 
-    A batch of at least ``2 * LANE_MIN_ROWS`` rows is cut into two halves at
-    row ``len(x) // 2``, each run through the same layer loop and joined in
-    row order. When ``_lanes_free()``, the halves run as two lanes: the
-    caller's thread takes the first and one pooled worker thread the second,
-    and an exception in either lane is raised once both have stopped.
-    Otherwise both run in the caller's thread. At output widths that are not
-    a multiple of 8 a row's bits can depend on the height of the product it
-    is computed in; the cut, and so every height, is the same on one CPU as
-    on two.
+    A batch of at least ``2 * LANE_MIN_ROWS`` rows is cut at row
+    ``len(x) // 2`` into two lanes through the same layer loop, on any number
+    of CPUs: the caller's thread runs the first half and one pooled worker
+    thread the second, and each lane's last layer writes its rows of the one
+    result array. An exception in either lane is raised once both have
+    stopped. At output widths that are not a multiple of 8 a row's bits can
+    depend on the height of the product it is computed in; no branch depends
+    on the CPU count, so every height is the same on every machine.
     """
     if len(x) < 2 * LANE_MIN_ROWS:
         return _forward(spec, params, x)
     half = len(x) // 2
-    if not _lanes_free():
-        return np.concatenate([_forward(spec, params, rows)
-                               for rows in (x[:half], x[half:])])
-    tail = _lane_worker().submit(_forward, spec, params, x[half:])
+    out = np.empty((len(x), spec.n_out))
+    tail = _lane_pool.submit(_forward, spec, params, x[half:], out[half:])
     try:
-        head = _forward(spec, params, x[:half])
+        _forward(spec, params, x[:half], out[:half])
     finally:
         futures.wait((tail,))
-    return np.concatenate((head, tail.result()))
+    tail.result()
+    return out
 
 
 def _check_width(x, width, what):

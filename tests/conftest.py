@@ -295,13 +295,6 @@ def blas_threads_set(n):
         put(before)
 
 
-# model.mlp_forward runs its two row lanes on two threads only where this
-# process may use two CPUs
-two_cpus = pytest.mark.skipif(
-    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-    reason="this process may use one CPU, so mlp_forward runs no lanes")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -244,6 +244,27 @@ def test_scoring_rejects_ref_batch_below_one(rng, ref_batch):
             call()
 
 
+@pytest.mark.parametrize("empty_at", [0, 1])
+def test_scoring_refuses_an_empty_source_before_encoding(rng, monkeypatch, empty_at):
+    bundle = make_bundle(seed=4)
+    target = _target(rng, bundle)
+    h = mdl.encode(bundle, target.values)
+    sources = [make_domain(rng, n=10, n_genes=bundle.n_genes)]
+    sources.insert(empty_at, dat.ExpressionMatrix([], target.gene_names,
+                                                  np.empty((0, bundle.n_genes))))
+    encoded = []
+    monkeypatch.setattr(mdl, "encode", lambda *args: encoded.append(args))
+    calls = [
+        lambda: ev.mean_reference_weights(bundle, h, sources),
+        lambda: ev.predict_target(bundle, target, sources),
+        lambda: ev.embed_target(bundle, target, sources),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"source {empty_at} has no samples"):
+            call()
+    assert encoded == []
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
