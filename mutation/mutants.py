@@ -506,10 +506,11 @@ MUTANTS = (
     ),
     Mutant(
         "train_hands_the_freed_heap_back",
-        "src/adadrug/train.py",
+        "src/adadrug/kernels.py",
         "mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)",
         "None",
-        ("tests/test_train.py::test_a_warm_training_run_takes_no_new_pages",),
+        ("tests/test_train.py::test_a_warm_training_run_takes_no_new_pages",
+         "tests/test_evaluate.py::test_scoring_in_a_process_that_never_trains_takes_no_new_pages"),
     ),
     # -- checkpoints -------------------------------------------------------
     Mutant(
@@ -575,6 +576,14 @@ MUTANTS = (
          "test_a_500_gene_checkpoint_does_not_depend_on_the_blas_thread_count",
          "tests/test_train.py::"
          "test_train_runs_on_one_blas_thread_and_restores_the_callers_count"),
+    ),
+    Mutant(
+        "blas_pin_leaves_the_heap_policy_unset",
+        "src/adadrug/kernels.py",
+        "    global _pin_depth, _pin_saved\n    _keep_freed_heap()\n",
+        "    global _pin_depth, _pin_saved\n",
+        ("tests/test_train.py::test_a_warm_training_run_takes_no_new_pages",
+         "tests/test_evaluate.py::test_scoring_in_a_process_that_never_trains_takes_no_new_pages"),
     ),
     Mutant(
         "blas_pin_keeps_one_thread_after_the_block",

@@ -161,6 +161,7 @@ def mean_reference_weights(bundle, h_target, sources, ref_batch=128, seed=0):
         w = mdl.mlp_forward(bundle.specs["generator"], bundle.params["generator"],
                             gap.reshape(-1, d))
         w.reshape(stop - start, m, d).mean(axis=1, out=w_mean[start:stop])
+        del w  # freed before the next block's generator result is allocated
     return w_mean
 
 

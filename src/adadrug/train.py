@@ -2,11 +2,8 @@
 adversarial scheduling via gradient reversal, and bit-exact checkpoints.
 """
 
-import ctypes
 import dataclasses
-import functools
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -175,35 +172,6 @@ class Adam:
                           self.eps, self.t, self.s1, self.s2)
 
 
-# Each step frees its whole graph as it returns. By default glibc then hands
-# that heap top back to the kernel, and the next step takes the same pages
-# again, one page fault each: about 1,100 a paper-width step at 60 genes, a
-# fifth of its time. M_TOP_PAD keeps _HEAP_TOP_PAD freed bytes at the heap
-# top for reuse; it lowers no peak and keeps only pages the peak touched.
-# Any mallopt call freezes glibc's mmap threshold, which otherwise rises as a
-# run goes on, so it is set to the ceiling it would rise to (32 MB on 64-bit):
-# an array above the threshold is mapped, and zeroed, afresh each time.
-_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc's mallopt parameters, malloc.h
-_HEAP_TOP_PAD = 64 << 20  # above a paper-width step at 500 genes (10.4 MB traced)
-_MMAP_THRESHOLD = 32 << 20
-
-
-@functools.cache
-def _glibc_mallopt():
-    """glibc's ``mallopt`` in this process, or None under another C library.
-    Looked up once: a dropped ``ctypes.CDLL`` is cyclic garbage."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
-        return None
-    if not libc.startswith("glibc"):
-        return None
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return mallopt
-
-
 def grl_coefficient(cfg, step, total_steps):
     if cfg.grl_schedule == "constant":
         return cfg.grl_lambda
@@ -297,12 +265,9 @@ def train(bundle, cfg):
     whatever ``OPENBLAS_NUM_THREADS`` says. Raises ``DivergenceError``
     naming the step and its loss parts when a step's total loss is not
     finite, or when a parameter is not finite at the end.
-    Under glibc it first has the heap keep freed pages (``_HEAP_TOP_PAD``).
+    The pin also sets the process's heap policy (``kernels._keep_freed_heap``),
+    so each step reuses the pages the last one freed.
     """
-    mallopt = _glibc_mallopt()
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
     n_genes = len(bundle.gene_names)
     ss = np.random.SeedSequence(cfg.seed)
     state = ss.generate_state(2 + bundle.n_sources)

@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
@@ -273,6 +274,11 @@ def make_domain(rng, n=20, n_genes=6, pos_rate=0.5, tag="s"):
         rng.normal(size=(n, n_genes)),
     )
     return dat.LabeledDomain(expr, labels)
+
+
+# kernels sets its heap policy through glibc's mallopt, and only there
+glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                           reason="the freed heap is kept through glibc's mallopt")
 
 
 @contextlib.contextmanager

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from adadrug import data as dat
 from adadrug import evaluate as ev
 from adadrug import model as mdl
 
-from conftest import make_bundle, make_domain
+from conftest import glibc, make_bundle, make_domain
 from oracles import aupr_threshold_sweep, auroc_pair_count, average_ranks_loop
 
 
@@ -372,6 +376,47 @@ def test_mean_reference_weights_default_blocks_equal_one_block(monkeypatch):
     monkeypatch.setattr(ev, "GAP_ROW_BUDGET", 37 * m)
     whole = ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0)
     assert blocked.tobytes() == whole.tobytes()
+
+
+def test_paper_width_blocks_give_the_same_bits_at_any_budget(monkeypatch):
+    # m = 3 x 128 references and 40 target rows: 768-row generator calls at a
+    # budget of 1,024, which mlp_forward runs whole, then 1,920 and 3,840 rows,
+    # which it cuts into two lanes
+    bundle, h, sources = _paper_width_scoring_case(40)
+    got = []
+    for budget in (1024, 2048, 4096):
+        monkeypatch.setattr(ev, "GAP_ROW_BUDGET", budget)
+        got.append(ev.mean_reference_weights(bundle, h, sources, ref_batch=128, seed=0))
+    assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+
+
+# scores a 640-row target twice at paper widths with an untrained model, so no
+# training ever runs in the process, and prints the second call's minor faults
+SCORE_WITHOUT_TRAINING = """
+import resource
+from adadrug import evaluate, model, synth, train
+gen = synth.generate(synth.SynthConfig(n_target=640, seed=3))
+cfg = train.TrainConfig(latent_dim=128, encoder_hidden=256, disc_hidden=64, pred_hidden=64)
+bundle = model.init_params(train.build_specs(len(gen.bundle.gene_names), cfg), 0)
+args = (bundle, gen.bundle.target, gen.bundle.sources)
+evaluate.predict_target(*args, ref_batch=128)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate.predict_target(*args, ref_batch=128)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@glibc
+def test_scoring_in_a_process_that_never_trains_takes_no_new_pages():
+    # the heap policy comes with the BLAS pin, which scoring enters too: a warm
+    # call reuses the heap its blocks freed instead of faulting it in again
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(Path(ev.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", SCORE_WITHOUT_TRAINING], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # fewer pages than one block's 1,920 x 128 generator result (480 pages)
+    assert int(proc.stdout) < 400
 
 
 def test_one_reference_blocks_give_the_one_block_bits(monkeypatch):

@@ -382,10 +382,8 @@ def test_lanes_give_the_serial_loops_bits(width, rows):
     assert got.tobytes() == a.tobytes()
 
 
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two_cpus", "one_cpu"])
-def test_lanes_run_dense_on_two_threads_from_the_threshold(monkeypatch, cpus):
+def test_lanes_run_dense_on_two_threads_from_the_threshold(monkeypatch):
     spec, params, x = lane_case(60, LANE_ROWS)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     idents = record_dense_threads(monkeypatch)
     mdl.mlp_forward(spec, params, x[:-1])
     assert set(idents) == {threading.get_ident()}
@@ -411,17 +409,6 @@ def test_mlp_forward_runs_on_one_blas_thread_and_keeps_the_callers_count(monkeyp
         assert kernels.blas_threads() == 2
     assert set(counts) == {1}
     assert got.tobytes() == want.tobytes()
-
-
-def test_a_batch_is_cut_at_the_same_row_on_one_cpu_as_on_two(monkeypatch):
-    # at output width 196 a row's last bits can depend on the height of the
-    # product it is computed in: 1,024 rows against two halves of 512
-    spec, params, x = lane_case(60, LANE_ROWS, out_width=196)
-    outs = []
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        outs.append(mdl.mlp_forward(spec, params, x))
-    assert outs[0].tobytes() == outs[1].tobytes()
 
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
@@ -459,16 +446,16 @@ def _read_until_eof(fd, seconds):
         chunks.append(chunk)
 
 
-def test_a_forked_child_scores_with_lanes_after_its_parent():
-    spec, params, x = lane_case(128, LANE_ROWS)
-    want = mdl.mlp_forward(spec, params, x)  # the parent's lane worker now runs
+def forked_bytes(make):
+    """The bytes ``make()`` returns in a forked child; fails the test if the
+    child does not hand them back within 20 s."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_end)
             with os.fdopen(write_end, "wb") as fh:
-                fh.write(mdl.mlp_forward(spec, params, x).tobytes())
+                fh.write(make())
         finally:
             os._exit(0)
     os.close(write_end)
@@ -481,4 +468,26 @@ def test_a_forked_child_scores_with_lanes_after_its_parent():
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert got is not None, "the forked child did not finish scoring within 20 s"
-    assert got == want.tobytes()
+    return got
+
+
+def test_a_forked_child_scores_with_lanes_after_its_parent():
+    spec, params, x = lane_case(128, LANE_ROWS)
+    want = mdl.mlp_forward(spec, params, x)  # the parent's lane worker now runs
+    assert forked_bytes(lambda: mdl.mlp_forward(spec, params, x).tobytes()) == want.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="this platform cannot pin a process to one CPU")
+def test_a_batch_is_cut_at_the_same_row_on_one_cpu_as_on_two():
+    # at output width 196 a row's last bits can depend on the height of the
+    # product it is computed in: 1,024 rows against two halves of 512. A child
+    # pinned to one CPU must score the bits this process scores on all of its
+    spec, params, x = lane_case(60, LANE_ROWS, out_width=196)
+    want = mdl.mlp_forward(spec, params, x)
+
+    def on_one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        return mdl.mlp_forward(spec, params, x).tobytes()
+
+    assert forked_bytes(on_one_cpu) == want.tobytes()

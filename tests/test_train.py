@@ -21,8 +21,8 @@ from adadrug import model as mdl
 from adadrug import synth as sy
 from adadrug import train as tr
 
-from conftest import (JSON_VALUES, UNFUSED, blas_threads_set, make_domain, split_grad,
-                      swap_body_blocks, write_v1_checkpoint)
+from conftest import (JSON_VALUES, UNFUSED, blas_threads_set, glibc, make_domain,
+                      split_grad, swap_body_blocks, write_v1_checkpoint)
 
 
 def tiny_bundle(rng, n_sources=2, n=24, n_genes=6, target_n=20):
@@ -377,8 +377,7 @@ def test_train_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-@pytest.mark.skipif(tr._glibc_mallopt() is None,
-                    reason="the freed heap is kept through glibc's mallopt")
+@glibc
 def test_a_warm_training_run_takes_no_new_pages():
     # each step frees its graph as it returns; glibc keeps the freed heap for
     # the next step instead of handing it back and faulting it in again
